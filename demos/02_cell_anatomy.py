@@ -9,6 +9,10 @@ previous cell state through three sigmoid gates and a tanh candidate:
     o = sigma(Wo x + Vo h + bo)        how much of tanh(c) to emit
     c = f * c_prev + i * tanh(Wc x + Vc h + bc)
     h = o * tanh(c)
+
+The four gates of a layer are stacked into one W (4d x k), V (4d x d)
+and b (4d), so one step computes all of them in one (batch, 4d) array:
+columns [0, d) are i, [d, 2d) f, [2d, 3d) o and [3d, 4d) the candidate.
 """
 
 import numpy as np
@@ -21,8 +25,9 @@ np.set_printoptions(precision=4, suppress=True)
 # ---- a zero-weight cell shows the pure gate arithmetic ----------------------
 p = layer_zeros(input_size=1, hidden_size=3)
 h, c, cache = lstm_cell_forward(p, np.array([0.7]), np.zeros(3), np.zeros(3))
+i, f, o, g = np.split(cache.gates, 4)
 print("zero weights: gates are all sigma(0) = 0.5, candidate tanh(0) = 0,")
-print(f"  i={cache.i}  f={cache.f}  o={cache.o}  ->  c={c}  h={h}")
+print(f"  i={i}  f={f}  o={o}  g={g}  ->  c={c}  h={h}")
 
 # with a nonzero starting cell state, the forget gate halves it
 c0 = np.array([0.8, -0.4, 0.0])
@@ -35,10 +40,12 @@ window = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
 y, cache = forward_window(params, window)
 print(f"\nstacked 8/4 model on window {window}: prediction {y:.5f}")
 
-# the cache keeps every step's gate values for backpropagation through time
+# the cache keeps every step's fused gate array for backpropagation through time
 step, layer = 4, 1
 cc = cache.steps[step][layer]
-print(f"step {step + 1}, layer {layer + 1}: forget gate {cc.f[0]}")
+d = params.hidden_dims[layer]
+print(f"step {step + 1}, layer {layer + 1}: gate array {cc.gates.shape}, "
+      f"forget gate {cc.gates[0, d : 2 * d]}")
 print(f"hidden state feeding the regression head: {cache.head_input[0]}")
 
 # gates live strictly inside (0,1), so |h| < 1 no matter the input

@@ -32,8 +32,9 @@ if not data_dir or not os.path.isdir(data_dir):
     print("  python demos/05_ims_run_to_failure.py /path/to/2nd_test")
     sys.exit(0)
 
-series, scan = load_ims_series(data_dir, expected_channels=4, channel=0, method="rms")
-print(f"{len(series)} snapshots ingested ({len(scan.skipped)} non-snapshot entries skipped)")
+series, scan, warnings = load_ims_series(data_dir, expected_channels=4, channel=0, method="rms")
+print(f"{len(series)} snapshots ingested ({len(scan.skipped)} non-snapshot entries skipped, "
+      f"{len(warnings)} files with warnings such as truncation)")
 print(f"rms trend range [{series.values.min():.4f}, {series.values.max():.4f}]")
 
 cleaned, replaced = remove_outliers(fill_missing(series, 3))

@@ -45,9 +45,7 @@ from .ingest import (
 )
 from .model import (
     LayerParams,
-    LstmState,
     ModelParams,
-    RegressionHead,
     forward_window,
     forward_windows,
     init_params,
@@ -75,7 +73,6 @@ from .series import SnapshotSeries, write_series_csv
 from .train import (
     AdamState,
     BlockCheck,
-    Gradients,
     TrainConfig,
     TrainReport,
     adam_step,

@@ -161,11 +161,13 @@ def _cmd_ingest(args) -> int:
     if args.ims_dir is not None:
         if args.channels is None:
             raise UsageError("--channels is required with --ims-dir")
-        series, scan = ingest.load_ims_series(
+        series, scan, warnings = ingest.load_ims_series(
             args.ims_dir, args.channels, args.channel, args.agg
         )
         for name in scan.skipped:
             print(f"skipped non-snapshot entry: {name}", file=sys.stderr)
+        for name, messages in warnings.items():
+            print(f"warning: {name}: {'; '.join(messages)}", file=sys.stderr)
         print(f"ingested {len(series)} snapshots from {args.ims_dir} "
               f"(channel {args.channel}, {args.agg})")
     else:
@@ -183,8 +185,11 @@ def _cmd_preprocess(args) -> int:
         filled, args.outlier_window, args.outlier_k
     )
     write_series_csv(cleaned, args.out)
+    # fill_missing drops edge gaps, so every finite point left was either
+    # finite before or interpolated.
+    interpolated = len(filled) - int(np.sum(np.isfinite(series.values)))
     print(f"kept {len(cleaned)}/{before} points, interpolated "
-          f"{int(np.sum(~np.isfinite(series.values)))} missing, "
+          f"{interpolated} missing, "
           f"replaced {len(replaced)} outliers")
     return EXIT_OK
 
@@ -198,7 +203,6 @@ def _cmd_train(args) -> int:
     params, report = fit_model(split, cfg)
     params = params.with_scaler(scaler)
     save_model(params, args.model_out)
-    report.model_path = str(args.model_out)
     write_report_csv(report, args.report_out)
     print(f"trained {len(split.train)} windows for {cfg.epochs} epochs; "
           f"final train loss {fmt_float(report.train_loss[-1])}, "
@@ -216,10 +220,12 @@ def _cmd_evaluate(args) -> int:
     ev.write_trace_csv(trace, args.trace_out)
 
     stem = Path(args.infile).stem
+    tags = np.array(trace.split)
     rows = []
-    for tag, side in (("train", split.train), ("test", split.test)):
-        part = ev.one_step_predictions(params, side, params.scaler, args.space, split=tag)
-        rows.append((f"{stem}/{tag}", ev.compute_metrics(part.actual, part.predicted, args.space)))
+    for tag in ("train", "test"):
+        mask = tags == tag
+        metrics = ev.compute_metrics(trace.actual[mask], trace.predicted[mask], args.space)
+        rows.append((f"{stem}/{tag}", metrics))
     ev.write_metrics_csv(rows, args.metrics_out)
     test_report = rows[-1][1]
     print(f"test rmse {fmt_float(test_report.rmse)} over {test_report.n} points ({args.space} space)")

@@ -9,8 +9,6 @@ whole run-to-failure directory becomes one SnapshotSeries.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -257,45 +255,25 @@ def read_series_csv(path) -> SnapshotSeries:
     return load_csv_series(path, value_column=1, timestamp_column=0)
 
 
-def default_thread_count() -> int:
-    """Parallelism cap: PROGNOST_THREADS if set, else the hardware count."""
-    env = os.environ.get("PROGNOST_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValidationError(f"PROGNOST_THREADS must be an integer, got {env!r}") from None
-        if n < 1:
-            raise ValidationError("PROGNOST_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
 def load_ims_series(
     directory,
     expected_channels: int,
     channel: int,
     method: str = "rms",
-    threads: int | None = None,
-) -> tuple[SnapshotSeries, ScanResult]:
+) -> tuple[SnapshotSeries, ScanResult, dict[str, tuple[str, ...]]]:
     """Scan, parse and aggregate a whole IMS directory into one series.
 
-    Files are parsed in a thread pool but merged in timestamp order, so
-    the result is identical to a sequential pass.
+    Also returns the parse warnings of each file that has any (such as a
+    truncated snapshot), keyed by file name, in timestamp order.
     """
     scan = scan_ims_directory(directory, expected_channels)
-    if threads is None:
-        threads = default_thread_count()
-
-    def one(ref: SnapshotFileRef) -> float:
+    values = []
+    warnings = {}
+    for ref in scan.refs:
         matrix = parse_ims_file(ref.path.read_text(encoding="ascii"), expected_channels)
-        return aggregate_snapshot(matrix, channel, method)
-
-    if threads > 1 and len(scan.refs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(one, scan.refs))
-    else:
-        values = [one(ref) for ref in scan.refs]
+        values.append(aggregate_snapshot(matrix, channel, method))
+        if matrix.warnings:
+            warnings[ref.path.name] = matrix.warnings
 
     series = SnapshotSeries(
         np.array([r.timestamp for r in scan.refs]),
@@ -303,4 +281,4 @@ def load_ims_series(
         source_label=Path(directory).name,
         channel=channel,
     )
-    return series, scan
+    return series, scan, warnings

@@ -21,14 +21,13 @@ from .errors import (
     TrainingDivergedError,
 )
 from .model import (
-    GATES,
     BCE_CLIP,
     ForwardCache,
-    LayerParams,
     ModelParams,
-    RegressionHead,
+    fill_param_vector,
     forward_windows,
     init_params,
+    param_views,
     predict_windows,
 )
 from .preprocess import SplitDataset
@@ -114,63 +113,18 @@ def parse_config_file(path) -> TrainConfig:
     return TrainConfig(**values)
 
 
-class LayerGrads:
-    """Mutable per-layer blocks, attribute for attribute like LayerParams."""
-
-    __slots__ = tuple(f"{p}_{g}" for g in GATES for p in ("w", "v", "b"))
-
-    def __init__(self, input_size: int, hidden_size: int):
-        for gate in GATES:
-            setattr(self, f"w_{gate}", np.zeros((hidden_size, input_size)))
-            setattr(self, f"v_{gate}", np.zeros((hidden_size, hidden_size)))
-            setattr(self, f"b_{gate}", np.zeros(hidden_size))
-
-    def blocks(self):
-        for gate in GATES:
-            yield f"W{gate}", getattr(self, f"w_{gate}")
-            yield f"V{gate}", getattr(self, f"v_{gate}")
-            yield f"b{gate}", getattr(self, f"b_{gate}")
-
-
-@dataclass
-class Gradients:
-    """dLoss/dtheta, block for block congruent with ModelParams."""
-
-    layers: list[LayerGrads]
-    w_r: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, m: ModelParams) -> "Gradients":
-        return cls(
-            [LayerGrads(l.input_size, l.hidden_size) for l in m.layers],
-            np.zeros_like(m.head.w_r),
-        )
-
-    def named_blocks(self):
-        for li, layer in enumerate(self.layers, start=1):
-            for label, block in layer.blocks():
-                yield f"layer{li}.{label}", block
-        yield "Wr", self.w_r
-
-
-def named_param_blocks(m: ModelParams):
-    for li, layer in enumerate(m.layers, start=1):
-        for label, block in layer.blocks():
-            yield f"layer{li}.{label}", block
-    yield "Wr", m.head.w_r
-
-
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moment vectors, laid out like ModelParams.theta, plus
+    the shared step counter."""
 
-    m: Gradients
-    v: Gradients
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "AdamState":
-        return cls(Gradients.zeros_like(params), Gradients.zeros_like(params), 0)
+        return cls(np.zeros_like(params.theta), np.zeros_like(params.theta), 0)
 
 
 @dataclass
@@ -180,7 +134,6 @@ class TrainReport:
     train_loss: list[float] = field(default_factory=list)
     test_rmse: list[float] = field(default_factory=list)
     wall_time_s: float = 0.0
-    model_path: str | None = None
     optimizer_steps: int = 0
 
     @property
@@ -224,8 +177,9 @@ def compute_loss(pred, target, mode: str = "mse") -> tuple[float, np.ndarray]:
     raise ValueError(f"loss mode must be 'mse' or 'bce', got {mode!r}")
 
 
-def bptt_backward(m: ModelParams, cache: ForwardCache, dloss_dy) -> Gradients:
-    """Exact reverse-mode gradients through all steps and layers.
+def bptt_backward(m: ModelParams, cache: ForwardCache, dloss_dy) -> np.ndarray:
+    """Exact reverse-mode gradients through all steps and layers, as one
+    vector laid out like ``m.theta``.
 
     ``dloss_dy`` is dLoss/dprediction, one scalar per window in the batch
     (a bare scalar is accepted for a single window).
@@ -243,122 +197,74 @@ def bptt_backward(m: ModelParams, cache: ForwardCache, dloss_dy) -> Gradients:
     else:
         dz = dy
 
-    grads = Gradients.zeros_like(m)
-    grads.w_r += dz[None, :] @ cache.head_input
+    grads = np.zeros_like(m.theta)
+    grad_layers, grad_w_r = param_views(grads, m.input_dim, m.hidden_dims)
+    grad_w_r += dz[None, :] @ cache.head_input
 
     n_layers = len(m.layers)
     dh_next = [np.zeros((batch, d)) for d in m.hidden_dims]
     dc_next = [np.zeros((batch, d)) for d in m.hidden_dims]
-    dh_next[-1] = dh_next[-1] + dz[:, None] @ m.head.w_r
+    dh_next[-1] = dh_next[-1] + dz[:, None] @ m.w_r
 
     for t in range(len(cache.steps) - 1, -1, -1):
         for li in range(n_layers - 1, -1, -1):
             cc = cache.steps[t][li]
             p = m.layers[li]
-            gl = grads.layers[li]
+            gl = grad_layers[li]
+            d = p.hidden_size
+            i, f, o, g = (cc.gates[:, n * d : (n + 1) * d] for n in range(4))
 
             dh = dh_next[li]
-            do = dh * cc.tanh_c
-            dzo = do * cc.o * (1.0 - cc.o)
-            dc = dc_next[li] + dh * cc.o * (1.0 - cc.tanh_c * cc.tanh_c)
-            df = dc * cc.c_prev
-            dzf = df * cc.f * (1.0 - cc.f)
-            di = dc * cc.g
-            dzi = di * cc.i * (1.0 - cc.i)
-            dg = dc * cc.i
-            dzg = dg * (1.0 - cc.g * cc.g)
+            dc = dc_next[li] + dh * o * (1.0 - cc.tanh_c * cc.tanh_c)
+            # Pre-activation gradients in the column order of cc.gates.
+            dgates = np.concatenate(
+                [
+                    dc * g * i * (1.0 - i),
+                    dc * cc.c_prev * f * (1.0 - f),
+                    dh * cc.tanh_c * o * (1.0 - o),
+                    dc * i * (1.0 - g * g),
+                ],
+                axis=1,
+            )
+            gl.W[...] += dgates.T @ cc.x
+            gl.V[...] += dgates.T @ cc.h_prev
+            gl.b[...] += dgates.sum(axis=0)
 
-            gl.w_i += dzi.T @ cc.x
-            gl.v_i += dzi.T @ cc.h_prev
-            gl.b_i += dzi.sum(axis=0)
-            gl.w_f += dzf.T @ cc.x
-            gl.v_f += dzf.T @ cc.h_prev
-            gl.b_f += dzf.sum(axis=0)
-            gl.w_o += dzo.T @ cc.x
-            gl.v_o += dzo.T @ cc.h_prev
-            gl.b_o += dzo.sum(axis=0)
-            gl.w_c += dzg.T @ cc.x
-            gl.v_c += dzg.T @ cc.h_prev
-            gl.b_c += dzg.sum(axis=0)
-
-            dh_next[li] = dzi @ p.v_i + dzf @ p.v_f + dzo @ p.v_o + dzg @ p.v_c
-            dc_next[li] = dc * cc.f
+            dh_next[li] = dgates @ p.V
+            dc_next[li] = dc * f
             if li > 0:
-                dx = dzi @ p.w_i + dzf @ p.w_f + dzo @ p.w_o + dzg @ p.w_c
-                dh_next[li - 1] = dh_next[li - 1] + dx
+                dh_next[li - 1] = dh_next[li - 1] + dgates @ p.W
     return grads
 
 
 def adam_step(
     m: ModelParams,
-    g: Gradients,
+    g: np.ndarray,
     s: AdamState,
     cfg: TrainConfig,
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update, applied blockwise.
+    """One bias-corrected Adam update over the whole parameter vector.
 
-    theta <- theta - lr * (m_b / (1 - beta1^t)) / (sqrt(v_b / (1 - beta2^t)) + eps)
+    theta <- theta - lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
     """
+    bad = ~np.isfinite(g)
+    if bad.any():
+        block = m.block_at(int(np.argmax(bad)))
+        raise GradientError(f"non-finite gradient in block {block}; training aborted")
     t = s.t + 1
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
-
-    def update(name: str, theta: np.ndarray, grad: np.ndarray, m_b: np.ndarray, v_b: np.ndarray):
-        if not np.isfinite(grad).all():
-            raise GradientError(f"non-finite gradient in block {name}; training aborted")
-        m_new = cfg.beta1 * m_b + (1.0 - cfg.beta1) * grad
-        v_new = cfg.beta2 * v_b + (1.0 - cfg.beta2) * (grad * grad)
-        theta_new = theta - cfg.learning_rate * (m_new / bc1) / (np.sqrt(v_new / bc2) + cfg.epsilon)
-        return theta_new, m_new, v_new
-
-    new_layers = []
-    m_layers = []
-    v_layers = []
-    for li, (pl, gl, ml, vl) in enumerate(zip(m.layers, g.layers, s.m.layers, s.v.layers), 1):
-        kw_p = {}
-        m_layer = LayerGrads(pl.input_size, pl.hidden_size)
-        v_layer = LayerGrads(pl.input_size, pl.hidden_size)
-        for label, attr in _layer_attrs():
-            theta_new, m_new, v_new = update(
-                f"layer{li}.{label}",
-                getattr(pl, attr),
-                getattr(gl, attr),
-                getattr(ml, attr),
-                getattr(vl, attr),
-            )
-            kw_p[attr] = theta_new
-            setattr(m_layer, attr, m_new)
-            setattr(v_layer, attr, v_new)
-        new_layers.append(LayerParams(**kw_p))
-        m_layers.append(m_layer)
-        v_layers.append(v_layer)
-    wr_new, m_wr, v_wr = update("Wr", m.head.w_r, g.w_r, s.m.w_r, s.v.w_r)
-
-    params = ModelParams(
-        tuple(new_layers), RegressionHead(wr_new), m.input_dim, m.loss_mode, m.scaler
-    )
-    state = AdamState(Gradients(m_layers, m_wr), Gradients(v_layers, v_wr), t)
-    return params, state
+    m_new = cfg.beta1 * s.m + (1.0 - cfg.beta1) * g
+    v_new = cfg.beta2 * s.v + (1.0 - cfg.beta2) * (g * g)
+    theta = m.theta - cfg.learning_rate * (m_new / bc1) / (np.sqrt(v_new / bc2) + cfg.epsilon)
+    return m.with_theta(theta), AdamState(m_new, v_new, t)
 
 
-def _layer_attrs():
-    for gate in GATES:
-        yield f"W{gate}", f"w_{gate}"
-        yield f"V{gate}", f"v_{gate}"
-        yield f"b{gate}", f"b_{gate}"
-
-
-def _clip_gradients(g: Gradients, max_norm: float) -> Gradients:
-    total = 0.0
-    for _, block in g.named_blocks():
-        total += float(np.sum(block * block))
-    norm = np.sqrt(total)
+def _clip_gradients(g: np.ndarray, max_norm: float) -> np.ndarray:
+    norm = float(np.sqrt(g @ g))
     if norm <= max_norm or norm == 0.0:
         return g
-    scale = max_norm / norm
-    for _, block in g.named_blocks():
-        block *= scale
-    return g
+    return g * (max_norm / norm)
 
 
 def _test_rmse(params: ModelParams, split: SplitDataset) -> float:
@@ -432,18 +338,18 @@ def _probe_model(cfg: TrainConfig, seed: int) -> tuple[ModelParams, np.ndarray, 
     with 64-bit roundoff.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    layers = []
-    in_size = 1
-    for d in cfg.hidden_dims:
-        kw = {}
-        for gate in GATES:
-            kw[f"w_{gate}"] = rng.uniform(0.1, 0.4, size=(d, in_size))
-            kw[f"v_{gate}"] = rng.uniform(0.05, 0.2, size=(d, d))
-            kw[f"b_{gate}"] = np.full(d, 1.0 if gate == "f" else 0.1)
-        layers.append(LayerParams(**kw))
-        in_size = d
-    head = RegressionHead(rng.uniform(0.2, 0.8, size=(1, in_size)))
-    params = ModelParams(tuple(layers), head, input_dim=1, loss_mode=cfg.loss_mode)
+
+    def positive(label, shape):
+        if label == "Wr":
+            return rng.uniform(0.2, 0.8, size=shape)
+        if label.startswith("W"):
+            return rng.uniform(0.1, 0.4, size=shape)
+        if label.startswith("V"):
+            return rng.uniform(0.05, 0.2, size=shape)
+        return 1.0 if label == "bf" else 0.1
+
+    theta = fill_param_vector(1, cfg.hidden_dims, positive)
+    params = ModelParams(theta, cfg.hidden_dims, input_dim=1, loss_mode=cfg.loss_mode)
     windows = rng.uniform(0.5, 1.5, size=(4, cfg.window))
     targets = np.full(4, 0.02) if cfg.loss_mode == "bce" else np.full(4, -1.0)
     return params, windows, targets
@@ -464,28 +370,16 @@ def grad_check(cfg: TrainConfig, seed: int = 7, eps: float = 1e-6) -> list[Block
     _, dldy = compute_loss(y, targets, cfg.loss_mode)
     analytic = bptt_backward(params, cache, dldy)
 
-    # Mutable twin of the parameters so single coordinates can be nudged.
-    arrays = {name: block.copy() for name, block in named_param_blocks(params)}
-
-    def rebuild() -> ModelParams:
-        layers = []
-        for li in range(1, len(params.hidden_dims) + 1):
-            kw = {}
-            for label, attr in _layer_attrs():
-                kw[attr] = arrays[f"layer{li}.{label}"]
-            layers.append(LayerParams(**kw))
-        return ModelParams(
-            tuple(layers), RegressionHead(arrays["Wr"]), params.input_dim, params.loss_mode
-        )
+    # Writable copy of the vector; the blocks below are views into it.
+    theta = params.theta.copy()
 
     def loss_at() -> float:
-        y_probe = predict_windows(rebuild(), windows)
+        y_probe = predict_windows(params.with_theta(theta), windows)
         loss, _ = compute_loss(y_probe, targets, cfg.loss_mode)
         return loss
 
     results = []
-    for name, grad_block in analytic.named_blocks():
-        arr = arrays[name]
+    for (name, arr), (_, grad_block) in zip(params.blocks(theta), params.blocks(analytic)):
         worst = BlockCheck(name, 0.0, (0,) * arr.ndim, 0.0, 0.0)
         for idx in np.ndindex(arr.shape):
             original = arr[idx]

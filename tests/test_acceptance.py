@@ -159,7 +159,7 @@ def _run_pipeline_rmse(series, cfg):
 def test_criterion_6_ims_dataset_bound():
     from prognost import load_ims_series
 
-    series, _ = load_ims_series(
+    series, _, _ = load_ims_series(
         os.environ["IMS_DATASET_DIR"], expected_channels=4, channel=0, method="rms"
     )
     cfg = TrainConfig()  # defaults: stacked 128/64, Adam 0.001, batch 50, 100 epochs

@@ -3,7 +3,7 @@
 import numpy as np
 
 from prognost.cli import build_parser, run
-from prognost.ingest import read_series_csv
+from prognost.ingest import IMS_EXPECTED_ROWS, read_series_csv
 
 
 def make_clean_series(tmp_path, n=120, kind="sine"):
@@ -94,7 +94,20 @@ class TestIngest:
         assert run(["ingest", "--csv", str(tmp_path / "nope.csv"),
                     "--out", str(tmp_path / "o.csv")]) == 2
 
-    def test_reruns_byte_identical(self, tmp_path, monkeypatch):
+    def test_truncated_file_reported_on_stderr(self, tmp_path, capsys):
+        data = tmp_path / "ims"
+        data.mkdir()
+        full = "\n".join(f"{0.001 * (i % 7)}" for i in range(IMS_EXPECTED_ROWS)) + "\n"
+        (data / "2004.02.12.10.32.39").write_text(full)
+        (data / "2004.02.12.10.42.39").write_text(full[: len(full) // 2])
+        (data / "2004.02.12.10.52.39").write_text(full)
+        assert run(["ingest", "--ims-dir", str(data), "--channels", "1",
+                    "--out", str(tmp_path / "o.csv")]) == 0
+        warned = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+        assert len(warned) == 1
+        assert "2004.02.12.10.42.39" in warned[0] and "got " in warned[0]
+
+    def test_reruns_byte_identical(self, tmp_path):
         data = tmp_path / "ims"
         data.mkdir()
         rng = np.random.Generator(np.random.PCG64(2))
@@ -103,7 +116,6 @@ class TestIngest:
                 "\t".join(repr(float(v)) for v in rng.normal(0, 0.1, 2)) for _ in range(8)
             )
             (data / f"2004.02.12.1{i}.32.39").write_text(body + "\n")
-        monkeypatch.setenv("PROGNOST_THREADS", "4")
         outs = []
         for tag in ("a", "b"):
             out = tmp_path / f"{tag}.csv"
@@ -123,6 +135,13 @@ class TestPreprocess:
         series = read_series_csv(out)
         assert series.is_finite()
         assert series.values.max() < 9.0
+
+    def test_edge_gaps_not_counted_as_interpolated(self, tmp_path, capsys):
+        # two leading and one trailing gap are dropped; only index 4 is filled
+        src = tmp_path / "s.csv"
+        src.write_text("timestamp,value\n0,\n1,\n2,1.0\n3,1.1\n4,\n5,1.0\n6,1.05\n7,\n")
+        assert run(["preprocess", "--in", str(src), "--out", str(tmp_path / "c.csv")]) == 0
+        assert "kept 5/8 points, interpolated 1 missing," in capsys.readouterr().out
 
     def test_oversized_gap_is_data_error(self, tmp_path):
         src = tmp_path / "s.csv"
@@ -223,6 +242,26 @@ class TestEvaluateCommand:
                         "--metrics-out", str(met), "--trace-out", str(trace)]) == 0
             blobs.append((met.read_bytes(), trace.read_bytes()))
         assert blobs[0] == blobs[1]
+
+    def test_metrics_match_per_split_predictions(self, tmp_path):
+        from prognost import evaluate as ev
+        from prognost import load_model, prepare_eval_data
+
+        clean, model, _ = train_small(tmp_path)
+        params = load_model(model)
+        split = prepare_eval_data(read_series_csv(clean), params.scaler, 5)
+        for space in ("scaled", "original"):
+            met, trace = tmp_path / f"met_{space}.csv", tmp_path / f"tr_{space}.csv"
+            assert run(["evaluate", "--model", str(model), "--in", str(clean), "--space", space,
+                        "--metrics-out", str(met), "--trace-out", str(trace)]) == 0
+            rows = []
+            for tag, side in (("train", split.train), ("test", split.test)):
+                part = ev.one_step_predictions(params, side, params.scaler, space, split=tag)
+                rows.append((f"{clean.stem}/{tag}",
+                             ev.compute_metrics(part.actual, part.predicted, space)))
+            expected = tmp_path / f"expected_{space}.csv"
+            ev.write_metrics_csv(rows, expected)
+            assert met.read_bytes() == expected.read_bytes()
 
     def test_corrupt_model_is_data_error(self, tmp_path):
         clean = make_clean_series(tmp_path)

@@ -236,19 +236,12 @@ class TestLoadImsSeries:
 
     def test_matches_sequential_oracle(self, tmp_path):
         self._make_dir(tmp_path)
-        series, scan = load_ims_series(tmp_path, expected_channels=2, channel=1, threads=2)
+        series, scan, warnings = load_ims_series(tmp_path, expected_channels=2, channel=1)
         assert len(series) == 4 and scan.skipped == ()
+        # every 32-row file is short of 20480 rows
+        assert list(warnings) == [ref.path.name for ref in scan.refs]
         expected = []
         for ref in scan.refs:
             m = parse_ims_file(ref.path.read_text(), 2)
             expected.append(aggregate_snapshot(m, 1, "rms"))
         np.testing.assert_array_equal(series.values, expected)
-
-    def test_parallel_equals_sequential(self, tmp_path, monkeypatch):
-        self._make_dir(tmp_path, n_files=6)
-        seq, _ = load_ims_series(tmp_path, 2, 0, threads=1)
-        par, _ = load_ims_series(tmp_path, 2, 0, threads=4)
-        assert np.array_equal(seq.values, par.values)
-        monkeypatch.setenv("PROGNOST_THREADS", "3")
-        env, _ = load_ims_series(tmp_path, 2, 0)
-        assert np.array_equal(seq.values, env.values)

@@ -1,6 +1,7 @@
 """LSTM cell math, stacked forward pass, initialization, persistence."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,26 +21,25 @@ from prognost import (
     save_model,
 )
 from prognost.model import (
+    PREDICT_ROWS,
     ModelParams,
-    RegressionHead,
+    forward_windows,
     layer_zeros,
+    param_count,
     predict_windows,
 )
 from prognost.preprocess import MinMaxScaler
 
+DATA = Path(__file__).parent / "data"
+
 
 def zero_model(dims=(3,), loss_mode="mse"):
-    layers = []
-    k = 1
-    for d in dims:
-        layers.append(layer_zeros(k, d))
-        k = d
-    return ModelParams(tuple(layers), RegressionHead(np.zeros((1, k))), 1, loss_mode)
+    return ModelParams(np.zeros(param_count(1, dims)), dims, 1, loss_mode)
 
 
 def scalar_cell_oracle(p, x, h_prev, c_prev):
     """Pure-python per-element recomputation of the gate equations."""
-    d, k = p.w_i.shape
+    blocks = dict(p.blocks())
 
     def dot(mat, vec):
         return [math.fsum(mat[r][c] * vec[c] for c in range(len(vec))) for r in range(mat.shape[0])]
@@ -47,10 +47,11 @@ def scalar_cell_oracle(p, x, h_prev, c_prev):
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
 
-    zi = [a + b + c for a, b, c in zip(dot(p.w_i, x), dot(p.v_i, h_prev), p.b_i)]
-    zf = [a + b + c for a, b, c in zip(dot(p.w_f, x), dot(p.v_f, h_prev), p.b_f)]
-    zo = [a + b + c for a, b, c in zip(dot(p.w_o, x), dot(p.v_o, h_prev), p.b_o)]
-    zg = [a + b + c for a, b, c in zip(dot(p.w_c, x), dot(p.v_c, h_prev), p.b_c)]
+    def pre(gate):
+        w, v, b = (blocks[f"{kind}{gate}"] for kind in "WVb")
+        return [a + b_ + c for a, b_, c in zip(dot(w, x), dot(v, h_prev), b)]
+
+    zi, zf, zo, zg = (pre(gate) for gate in "ifoc")
     i = [sig(v) for v in zi]
     f = [sig(v) for v in zf]
     o = [sig(v) for v in zo]
@@ -65,25 +66,31 @@ class TestInitParams:
         cfg = TrainConfig(hidden_dims=(4, 3))
         a = init_params(cfg, 42)
         b = init_params(cfg, 42)
-        for la, lb in zip(a.layers, b.layers):
-            for (_, ba), (_, bb) in zip(la.blocks(), lb.blocks()):
-                assert np.array_equal(ba, bb)
-        assert np.array_equal(a.head.w_r, b.head.w_r)
+        assert np.array_equal(a.theta, b.theta)
 
     def test_different_seeds_differ(self):
         cfg = TrainConfig(hidden_dims=(4,))
         a = init_params(cfg, 1)
         b = init_params(cfg, 2)
-        assert not np.array_equal(a.layers[0].w_i, b.layers[0].w_i)
+        assert not np.array_equal(a.layers[0].W, b.layers[0].W)
 
     def test_default_stack_shapes(self):
         params = init_params(TrainConfig(hidden_dims=(128, 64)), 0)
         l1, l2 = params.layers
-        assert l1.w_i.shape == (128, 1)
-        assert l1.v_i.shape == (128, 128)
-        assert l1.b_i.shape == (128,)
-        assert l2.w_f.shape == (64, 128)
-        assert params.head.w_r.shape == (1, 64)
+        assert l1.W.shape == (4 * 128, 1)
+        assert l1.V.shape == (4 * 128, 128)
+        assert l1.b.shape == (4 * 128,)
+        assert l2.W.shape == (4 * 64, 128)
+        assert params.w_r.shape == (1, 64)
+        assert params.theta.shape == (param_count(1, (128, 64)),)
+        blocks = dict(params.blocks())
+        assert blocks["layer1.Wi"].shape == (128, 1)
+        assert blocks["layer1.Vi"].shape == (128, 128)
+        assert blocks["layer1.bi"].shape == (128,)
+        assert blocks["layer2.Wf"].shape == (64, 128)
+        # every view shares the one parameter vector
+        for _, block in params.blocks():
+            assert np.shares_memory(block, params.theta)
 
     def test_zero_layer_config_error(self):
         from prognost.errors import ConfigError
@@ -94,26 +101,25 @@ class TestInitParams:
     def test_forget_bias_one_other_biases_zero(self):
         params = init_params(TrainConfig(hidden_dims=(6, 5)), 3)
         for layer in params.layers:
-            assert np.all(layer.b_f == 1.0)
-            for gate in "ioc":
-                assert np.all(getattr(layer, f"b_{gate}") == 0.0)
+            b_i, b_f, b_o, b_c = np.split(layer.b, 4)
+            assert np.all(b_f == 1.0)
+            for b in (b_i, b_o, b_c):
+                assert np.all(b == 0.0)
 
     def test_glorot_bounds(self):
         params = init_params(TrainConfig(hidden_dims=(16,)), 4)
         layer = params.layers[0]
         lim_w = math.sqrt(6.0 / (1 + 16))
         lim_v = math.sqrt(6.0 / 32)
-        assert np.all(np.abs(layer.w_i) <= lim_w)
-        assert np.all(np.abs(layer.v_o) <= lim_v)
+        assert np.all(np.abs(layer.W) <= lim_w)
+        assert np.all(np.abs(layer.V) <= lim_v)
 
 
 class TestCellForward:
     def test_zero_params_zero_state(self):
         p = layer_zeros(1, 3)
         h, c, cache = lstm_cell_forward(p, np.array([0.7]), np.zeros(3), np.zeros(3))
-        np.testing.assert_array_equal(cache.i, [0.5] * 3)
-        np.testing.assert_array_equal(cache.f, [0.5] * 3)
-        np.testing.assert_array_equal(cache.o, [0.5] * 3)
+        np.testing.assert_array_equal(cache.gates, [0.5] * 9 + [0.0] * 3)
         np.testing.assert_array_equal(c, np.zeros(3))
         np.testing.assert_array_equal(h, np.zeros(3))
 
@@ -136,6 +142,18 @@ class TestCellForward:
         assert np.max(np.abs(h - h_ref)) < 1e-14
         assert np.max(np.abs(c - c_ref)) < 1e-14
 
+    def test_batch_rows_match_vector_steps(self):
+        rng = np.random.Generator(np.random.PCG64(11))
+        p = init_params(TrainConfig(hidden_dims=(4, 3)), 11).layers[1]
+        x, h_prev, c_prev = rng.uniform(-1, 1, (3, 5, 4))
+        h_prev, c_prev = h_prev[:, :3], c_prev[:, :3]
+        h, c, cache = lstm_cell_forward(p, x, h_prev, c_prev)
+        assert cache.gates.shape == (5, 12)
+        for row in range(5):
+            h1, c1, _ = lstm_cell_forward(p, x[row], h_prev[row], c_prev[row])
+            np.testing.assert_allclose(h[row], h1, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(c[row], c1, rtol=0, atol=1e-15)
+
     def test_shape_mismatch(self):
         p = layer_zeros(1, 3)
         with pytest.raises(ValueError):
@@ -150,8 +168,8 @@ class TestCellForward:
         h_prev = rng.uniform(-1, 1, 4)
         c_prev = rng.normal(0, 5, 4)
         h, c, cache = lstm_cell_forward(p.layers[0], x, h_prev, c_prev)
-        for gate in (cache.i, cache.f, cache.o):
-            assert np.all(gate > 0) and np.all(gate < 1)
+        sigmoid_gates = cache.gates[: 3 * 4]
+        assert np.all(sigmoid_gates > 0) and np.all(sigmoid_gates < 1)
         assert np.all(np.abs(h) < 1)
 
 
@@ -165,7 +183,7 @@ class TestForwardWindow:
         x = np.array([0.37])
         y, _ = forward_window(params, x)
         h, _, _ = lstm_cell_forward(params.layers[0], x, np.zeros(3), np.zeros(3))
-        assert abs(y - float((params.head.w_r @ h)[0])) < 1e-14
+        assert abs(y - float((params.w_r @ h)[0])) < 1e-14
 
     def test_matches_unrolled_scalar_oracle(self):
         params = init_params(TrainConfig(hidden_dims=(4, 3)), 12)
@@ -179,7 +197,7 @@ class TestForwardWindow:
                 states[li] = (h, c)
                 x = h
         expected = math.fsum(
-            float(w) * float(h) for w, h in zip(params.head.w_r[0], states[-1][0])
+            float(w) * float(h) for w, h in zip(params.w_r[0], states[-1][0])
         )
         assert abs(y - expected) < 1e-13
 
@@ -204,6 +222,13 @@ class TestForwardWindow:
             y_ref, _ = forward_window(params, windows[i])
             assert abs(ys[i] - y_ref) < 1e-13
 
+    def test_large_batch_forwarded_in_parts(self):
+        params = init_params(TrainConfig(hidden_dims=(8, 4)), 9)
+        rng = np.random.Generator(np.random.PCG64(12))
+        windows = rng.uniform(-1, 1, size=(PREDICT_ROWS + 1003, 5))
+        one_pass, _ = forward_windows(params, windows, want_cache=False)
+        np.testing.assert_allclose(predict_windows(params, windows), one_pass, rtol=0, atol=1e-15)
+
     def test_bce_mode_head_is_sigmoid(self):
         params = init_params(TrainConfig(hidden_dims=(3,), loss_mode="bce"), 5)
         y, cache = forward_window(params, np.array([0.2, 0.4, 0.6]))
@@ -211,13 +236,16 @@ class TestForwardWindow:
         assert y == pytest.approx(1.0 / (1.0 + math.exp(-cache.y_raw[0])))
 
     def test_invalid_chain_unconstructible(self):
-        with pytest.raises(ValidationError):
-            ModelParams(
-                (layer_zeros(1, 4), layer_zeros(3, 2)),  # 4 -> expects 4, got 3
-                RegressionHead(np.zeros((1, 2))),
-            )
-        with pytest.raises(ValidationError):
-            ModelParams((layer_zeros(1, 4),), RegressionHead(np.zeros((1, 3))))
+        # the layer chain is implied by hidden_dims; a vector of any other
+        # length cannot be viewed as that chain
+        n = param_count(1, (4, 2))
+        for size in (n - 1, n + 1, param_count(1, (4, 3))):
+            with pytest.raises(ValidationError):
+                ModelParams(np.zeros(size), (4, 2))
+        theta = np.zeros(n)
+        dict(zero_model((4, 2)).blocks(theta))["layer2.Vi"][1, 0] = np.nan
+        with pytest.raises(ValidationError, match="layer2.Vi"):
+            ModelParams(theta, (4, 2))
 
 
 class TestPersistence:
@@ -232,10 +260,8 @@ class TestPersistence:
         path = tmp_path / "m.model"
         save_model(params, path)
         back = load_model(path)
-        for la, lb in zip(params.layers, back.layers):
-            for (_, ba), (_, bb) in zip(la.blocks(), lb.blocks()):
-                assert np.array_equal(ba, bb)
-        assert np.array_equal(params.head.w_r, back.head.w_r)
+        assert np.array_equal(params.theta, back.theta)
+        assert back.hidden_dims == params.hidden_dims
         assert back.scaler == params.scaler
         assert back.loss_mode == params.loss_mode
 
@@ -256,6 +282,13 @@ class TestPersistence:
         path = tmp_path / "m.model"
         path.write_text("LSTMPROG v9\ninput 1 layers 1 hidden 2 output 1 loss mse\n")
         with pytest.raises(ModelVersionError):
+            load_model(path)
+
+    def test_non_positive_sizes_are_corruption(self, tmp_path):
+        path = tmp_path / "m.model"
+        path.write_text("LSTMPROG v1\ninput 1 layers 1 hidden -2 output 1 loss mse\n"
+                        "block Wi -2 1\n")
+        with pytest.raises(ModelCorruptionError, match="header"):
             load_model(path)
 
     def test_format_error(self, tmp_path):
@@ -311,3 +344,40 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ModelCorruptionError):
             load_model(path)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple),
+        loss_mode=st.sampled_from(("mse", "bce")),
+        scaler=st.one_of(
+            st.none(),
+            st.tuples(
+                st.floats(-1e6, 1e6, allow_nan=False), st.floats(1e-6, 1e6, allow_nan=False)
+            ).map(lambda t: MinMaxScaler(t[0], t[0] + t[1])),
+        ),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_save_load_save_bytes_property(self, tmp_path_factory, dims, loss_mode, scaler, seed):
+        params = init_params(TrainConfig(hidden_dims=dims, loss_mode=loss_mode), seed)
+        params = params.with_scaler(scaler)
+        d = tmp_path_factory.mktemp("prop")
+        p1, p2 = d / "a.model", d / "b.model"
+        save_model(params, p1)
+        back = load_model(p1)
+        save_model(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert np.array_equal(back.theta, params.theta)
+        assert back.scaler == scaler and back.loss_mode == loss_mode
+
+    def test_pinned_v1_file(self, tmp_path):
+        # a 3/2 model trained and written by the per-gate (12 blocks per
+        # layer) implementation that preceded the stacked-gate layout
+        pinned = DATA / "v1_stack_3_2.model"
+        params = load_model(pinned)
+        assert params.hidden_dims == (3, 2)
+        assert params.scaler == MinMaxScaler(0.017, 1.93)
+        resaved = tmp_path / "again.model"
+        save_model(params, resaved)
+        assert resaved.read_bytes() == pinned.read_bytes()
+        y = predict_windows(params, np.array([[0.1, 0.35, 0.6, 0.85], [0.9, 0.7, 0.5, 0.3]]))
+        assert [v.hex() for v in y] == ["-0x1.e845dafd609ecp-3", "-0x1.b9aa1ebfcc1aap-2"]

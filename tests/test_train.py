@@ -24,7 +24,7 @@ from prognost import (
 from prognost.errors import ContractError
 from prognost.model import forward_windows, init_params, predict_windows
 from prognost.preprocess import SplitDataset, WindowedDataset, make_windows, split_train_test
-from prognost.train import AdamState, Gradients, TrainReport, named_param_blocks, write_report_csv
+from prognost.train import AdamState, TrainReport, write_report_csv
 
 from test_model import zero_model
 
@@ -152,16 +152,15 @@ class TestBpttBackward:
         windows = np.array([[0.1, 0.2, 0.3, 0.4, 0.5]])
         _, cache = forward_windows(params, windows)
         grads = bptt_backward(params, cache, np.zeros(1))
-        for _, block in grads.named_blocks():
-            assert np.all(block == 0.0)
+        assert grads.shape == params.theta.shape
+        assert np.all(grads == 0.0)
 
     def test_zero_model_kills_all_gradients(self):
         params = zero_model((4, 3))
         windows = np.array([[0.3, -0.2, 0.5, 0.9, 0.1]])
         _, cache = forward_windows(params, windows)
         grads = bptt_backward(params, cache, np.array([2.0]))
-        for _, block in grads.named_blocks():
-            assert np.all(block == 0.0)
+        assert np.all(grads == 0.0)
 
     def test_stale_cache_rejected(self):
         params = init_params(TrainConfig(hidden_dims=(3,)), 1)
@@ -191,22 +190,15 @@ class TestBpttBackward:
             _, dldy = compute_loss(y, targets, mode)
             analytic = bptt_backward(params, cache, dldy)
 
-            arrays = {name: block.copy() for name, block in named_param_blocks(params)}
-            from prognost.model import LayerParams, ModelParams, RegressionHead
-            from prognost.train import _layer_attrs
+            theta = params.theta.copy()
 
             def loss_at():
-                layers = []
-                for li in range(1, 3):
-                    layers.append(LayerParams(**{
-                        attr: arrays[f"layer{li}.{lbl}"] for lbl, attr in _layer_attrs()
-                    }))
-                probe = ModelParams(tuple(layers), RegressionHead(arrays["Wr"]), 1, mode)
+                probe = params.with_theta(theta)
                 return compute_loss(predict_windows(probe, windows), targets, mode)[0]
 
             eps = 1e-6
-            for name, grad_block in analytic.named_blocks():
-                arr = arrays[name]
+            blocks = zip(params.blocks(theta), params.blocks(analytic))
+            for (name, arr), (_, grad_block) in blocks:
                 for idx in np.ndindex(arr.shape):
                     original = arr[idx]
                     arr[idx] = original + eps
@@ -223,10 +215,9 @@ class TestAdamStep:
         cfg = TrainConfig(hidden_dims=(4,))
         params = init_params(cfg, 5)
         state = AdamState.zeros(params)
-        grads = Gradients.zeros_like(params)
+        grads = np.zeros_like(params.theta)
         new_params, new_state = adam_step(params, grads, state, cfg)
-        for (_, a), (_, b) in zip(named_param_blocks(params), named_param_blocks(new_params)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(params.theta, new_params.theta)
         assert new_state.t == 1
 
     def test_single_scalar_first_step(self):
@@ -234,12 +225,12 @@ class TestAdamStep:
         cfg = TrainConfig(hidden_dims=(1,))
         params = zero_model((1,))
         state = AdamState.zeros(params)
-        grads = Gradients.zeros_like(params)
-        grads.w_r[0, 0] = 1.0
+        grads = np.zeros_like(params.theta)
+        dict(params.blocks(grads))["Wr"][0, 0] = 1.0
         new_params, new_state = adam_step(params, grads, state, cfg)
         expected = -cfg.learning_rate * (1.0 / (1.0 + cfg.epsilon))
-        assert new_params.head.w_r[0, 0] == expected
-        assert new_params.head.w_r[0, 0] == pytest.approx(-cfg.learning_rate, abs=1e-9)
+        assert new_params.w_r[0, 0] == expected
+        assert new_params.w_r[0, 0] == pytest.approx(-cfg.learning_rate, abs=1e-9)
         assert new_state.t == 1
 
     def test_opposite_gradients_give_exactly_opposite_deltas(self):
@@ -248,35 +239,27 @@ class TestAdamStep:
         cfg = TrainConfig(hidden_dims=(3,))
         params = zero_model((3,))
         rng = np.random.Generator(np.random.PCG64(7))
-        grads_pos = Gradients.zeros_like(params)
-        grads_neg = Gradients.zeros_like(params)
-        for (_, gp), (_, gn) in zip(grads_pos.named_blocks(), grads_neg.named_blocks()):
-            g = rng.normal(0, 1, gp.shape)
-            gp += g
-            gn -= g
-        up, _ = adam_step(params, grads_pos, AdamState.zeros(params), cfg)
-        dn, _ = adam_step(params, grads_neg, AdamState.zeros(params), cfg)
-        for (_, pu), (_, pd) in zip(named_param_blocks(up), named_param_blocks(dn)):
-            assert np.array_equal(pu, -pd)
+        g = rng.normal(0, 1, params.theta.shape)
+        up, _ = adam_step(params, g, AdamState.zeros(params), cfg)
+        dn, _ = adam_step(params, -g, AdamState.zeros(params), cfg)
+        assert np.array_equal(up.theta, -dn.theta)
 
     def test_deterministic_state_bits(self):
         cfg = TrainConfig(hidden_dims=(3,))
         params = init_params(cfg, 6)
-        grads = Gradients.zeros_like(params)
-        grads.w_r += 0.25
+        grads = np.zeros_like(params.theta)
+        dict(params.blocks(grads))["Wr"][...] += 0.25
         _, s1 = adam_step(params, grads, AdamState.zeros(params), cfg)
         _, s2 = adam_step(params, grads, AdamState.zeros(params), cfg)
-        for (_, a), (_, b) in zip(s1.m.named_blocks(), s2.m.named_blocks()):
-            assert np.array_equal(a, b)
-        for (_, a), (_, b) in zip(s1.v.named_blocks(), s2.v.named_blocks()):
-            assert np.array_equal(a, b)
-            assert np.all(a >= 0)  # second moments are squares
+        assert np.array_equal(s1.m, s2.m)
+        assert np.array_equal(s1.v, s2.v)
+        assert np.all(s1.v >= 0)  # second moments are squares
 
     def test_non_finite_gradient_names_block(self):
         cfg = TrainConfig(hidden_dims=(2,))
         params = init_params(cfg, 1)
-        grads = Gradients.zeros_like(params)
-        grads.layers[0].v_f[0, 0] = float("nan")
+        grads = np.zeros_like(params.theta)
+        dict(params.blocks(grads))["layer1.Vf"][0, 0] = float("nan")
         with pytest.raises(GradientError, match="layer1.Vf"):
             adam_step(params, grads, AdamState.zeros(params), cfg)
 
@@ -288,14 +271,11 @@ class TestAdamStep:
         )
         params = init_params(TrainConfig(hidden_dims=(3,)), 8)
         state = AdamState.zeros(params)
-        grads = Gradients.zeros_like(params)
-        for _, block in grads.named_blocks():
-            block += 0.7
+        grads = np.full_like(params.theta, 0.7)
         current = params
         for _ in range(5):
             current, state = adam_step(current, grads, state, cfg)
-        for (_, a), (_, b) in zip(named_param_blocks(params), named_param_blocks(current)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(params.theta, current.theta)
         assert state.t == 5
 
 
@@ -322,8 +302,7 @@ class TestTrainLoop:
         cfg = TrainConfig(hidden_dims=(6,), epochs=5, seed=123)
         p1, r1 = train(tiny_split(), cfg)
         p2, r2 = train(tiny_split(), cfg)
-        for (_, a), (_, b) in zip(named_param_blocks(p1), named_param_blocks(p2)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(p1.theta, p2.theta)
         assert r1.train_loss == r2.train_loss
         assert r1.test_rmse == r2.test_rmse
 
@@ -384,11 +363,9 @@ class TestTrainLoop:
         from prognost.train import _clip_gradients
 
         params = init_params(TrainConfig(hidden_dims=(3,)), 4)
-        grads = Gradients.zeros_like(params)
-        for _, block in grads.named_blocks():
-            block += 1.0
+        grads = np.ones_like(params.theta)
         clipped = _clip_gradients(grads, 0.5)
-        total = math.fsum(float(np.sum(b * b)) for _, b in clipped.named_blocks())
+        total = math.fsum(float(v * v) for v in clipped)
         assert math.sqrt(total) == pytest.approx(0.5, rel=1e-12)
         # training with a clip still converges on a sane setup
         cfg = TrainConfig(hidden_dims=(4,), epochs=3, seed=5, max_grad_norm=1.0)
