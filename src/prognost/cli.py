@@ -38,6 +38,7 @@ from .errors import (
     DataError,
     NumericError,
     UsageError,
+    ValidationError,
 )
 from .fixtures import make_fixture_series
 from .model import load_model, save_model, forward_window
@@ -126,16 +127,18 @@ def build_parser() -> _Parser:
     p.add_argument("--trace-out", required=True, help="output trace CSV")
     p.add_argument("--space", choices=("scaled", "original"), default="scaled",
                    help="report in scaled [0,1] space (default) or original units")
-    p.add_argument("--window", type=int, default=preprocess.DEFAULT_WINDOW_LENGTH,
-                   help="window length used at training time (default 5)")
+    p.add_argument("--window", type=int, default=None,
+                   help="window length used at training time (default: the length the "
+                        "model records; 5 for v1 model files, which record none)")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("predict",
                        help="predict the next value from one window of history")
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--window", required=True,
-                   help="comma-separated history, e.g. 0.1,0.2,0.3,0.4,0.5; interpreted in "
-                        "original units when the model carries a scaler, scaled units otherwise")
+                   help="comma-separated history, e.g. 0.1,0.2,0.3,0.4,0.5, as long as the "
+                        "model's training windows; interpreted in original units when the "
+                        "model carries a scaler, scaled units otherwise")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("grad-check",
@@ -214,6 +217,13 @@ def _cmd_evaluate(args) -> int:
     params = load_model(args.model)
     if params.scaler is None:
         raise ConfigError(f"model {args.model} carries no scaler; retrain via the train subcommand")
+    if args.window is None:
+        args.window = params.window or preprocess.DEFAULT_WINDOW_LENGTH
+    elif params.window not in (None, args.window):
+        raise UsageError(
+            f"--window {args.window} does not match model {args.model}, "
+            f"trained on windows of {params.window}"
+        )
     series = ingest.read_series_csv(args.infile)
     split = preprocess.prepare_eval_data(series, params.scaler, args.window)
     trace = ev.trace_for_split(params, split, params.scaler, args.space)
@@ -235,6 +245,13 @@ def _cmd_evaluate(args) -> int:
 def _cmd_predict(args) -> int:
     params = load_model(args.model)
     window = _parse_window_values(args.window)
+    if params.window not in (None, len(window)):
+        raise UsageError(
+            f"--window has {len(window)} values; model {args.model} "
+            f"was trained on windows of {params.window}"
+        )
+    if not np.isfinite(window).all():
+        raise ValidationError(f"--window holds a non-finite value: {args.window!r}")
     if params.scaler is not None:
         scaled, _ = preprocess.apply_scaler(params.scaler, window, "forward")
         y, _ = forward_window(params, scaled)

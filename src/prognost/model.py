@@ -22,15 +22,16 @@ Gradients and optimizer moments are vectors of the same layout.
 
 from __future__ import annotations
 
+import binascii
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     ConfigError,
+    ConstantSeriesError,
     ModelCorruptionError,
     ModelFormatError,
     ModelVersionError,
@@ -39,7 +40,8 @@ from .errors import (
 from .preprocess import MinMaxScaler
 from .series import fmt_float
 
-MODEL_MAGIC = "LSTMPROG v1"
+MODEL_MAGIC = "LSTMPROG v2"
+MODEL_MAGIC_V1 = "LSTMPROG v1"
 GATES = ("i", "f", "o", "c")
 LOSS_MODES = ("mse", "bce")
 
@@ -139,13 +141,15 @@ def fill_param_vector(input_dim: int, hidden_dims, fill) -> np.ndarray:
 class ModelParams:
     """Full parameter set: one frozen vector ``theta`` with per-layer views
     ``layers`` and the head view ``w_r``, plus the optional scaler baked in
-    when the model is saved."""
+    when the model is saved and the window length it was trained on (None
+    when unknown, as for v1 files)."""
 
     theta: np.ndarray
     hidden_dims: tuple[int, ...]
     input_dim: int = 1
     loss_mode: str = "mse"
     scaler: MinMaxScaler | None = None
+    window: int | None = None
     layers: tuple[LayerParams, ...] = field(init=False, repr=False)
     w_r: np.ndarray = field(init=False, repr=False)
 
@@ -155,6 +159,8 @@ class ModelParams:
             raise ValidationError(f"hidden_dims must all be positive, got {dims}")
         if self.loss_mode not in LOSS_MODES:
             raise ValidationError(f"loss_mode must be one of {LOSS_MODES}")
+        if self.window is not None and not self.window >= 1:
+            raise ValidationError(f"window must be a positive length, got {self.window}")
         theta = np.array(self.theta, dtype=np.float64, copy=True)
         theta.flags.writeable = False
         layers, w_r = param_views(theta, self.input_dim, dims)
@@ -214,7 +220,9 @@ def init_params(config, seed: int | None = None) -> ModelParams:
         return rng.uniform(-lim, lim, size=shape)
 
     theta = fill_param_vector(1, hidden_dims, glorot)
-    return ModelParams(theta, hidden_dims, input_dim=1, loss_mode=config.loss_mode)
+    return ModelParams(
+        theta, hidden_dims, input_dim=1, loss_mode=config.loss_mode, window=config.window
+    )
 
 
 @dataclass
@@ -229,6 +237,18 @@ class CellCache:
     gates: np.ndarray
     c: np.ndarray
     tanh_c: np.ndarray
+
+
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-z)), elementwise; ``out`` may be ``z``.
+
+    Below z = -709.78 exp(-z) overflows to inf, which yields the limit 0.
+    """
+    with np.errstate(over="ignore"):
+        out = np.negative(z, out=out)
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def lstm_cell_forward(
@@ -257,7 +277,7 @@ def lstm_cell_forward(
     gates = x @ p.W.T
     gates += h_prev @ p.V.T
     gates += p.b
-    expit(gates[..., : 3 * d], out=gates[..., : 3 * d])
+    sigmoid(gates[..., : 3 * d], out=gates[..., : 3 * d])
     np.tanh(gates[..., 3 * d :], out=gates[..., 3 * d :])
     i, f, o, g = (gates[..., n * d : (n + 1) * d] for n in range(4))
     c = f * c_prev + i * g
@@ -311,7 +331,7 @@ def forward_windows(
     y_raw = (head_input @ m.w_r.T)[:, 0]
     interior = None
     if m.loss_mode == "bce":
-        q = expit(y_raw)
+        q = sigmoid(y_raw)
         interior = (q > BCE_CLIP) & (q < 1.0 - BCE_CLIP)
         y = np.clip(q, BCE_CLIP, 1.0 - BCE_CLIP)
     else:
@@ -352,23 +372,28 @@ def predict_windows(m: ModelParams, windows: np.ndarray) -> np.ndarray:
 
 def _header_line(m: ModelParams) -> str:
     dims = " ".join(str(d) for d in m.hidden_dims)
-    return (
+    line = (
         f"input {m.input_dim} layers {len(m.layers)} hidden {dims} "
         f"output 1 loss {m.loss_mode}"
     )
+    return line if m.window is None else f"{line} window {m.window}"
 
 
 def save_model(m: ModelParams, path) -> None:
-    """Write the line-oriented text format; load_model inverts it bitwise."""
+    """Write the v2 text format; load_model inverts it bitwise.
+
+    Each block header line is followed by one line holding the base64 of
+    the block's little-endian float64 values in row-major order.
+    """
     lines = [MODEL_MAGIC, _header_line(m)]
     if m.scaler is not None:
         lines.append(f"scaler {fmt_float(m.scaler.min)} {fmt_float(m.scaler.max)}")
 
     def emit(label: str, array: np.ndarray) -> None:
-        mat = array if array.ndim == 2 else array[None, :]
-        lines.append(f"block {label} {mat.shape[0]} {mat.shape[1]}")
-        for row in mat:
-            lines.append(" ".join(fmt_float(v) for v in row))
+        rows, cols = array.shape if array.ndim == 2 else (1, array.size)
+        lines.append(f"block {label} {rows} {cols}")
+        payload = binascii.b2a_base64(array.astype("<f8").tobytes(), newline=False)
+        lines.append(payload.decode("ascii"))
 
     for layer in m.layers:
         for label, block in layer.blocks():
@@ -406,7 +431,7 @@ class _LineReader:
             self.index += 1
 
 
-def _parse_header(line: str) -> tuple[int, tuple[int, ...], int, str]:
+def _parse_header(line: str, v2: bool) -> tuple[int, tuple[int, ...], int, str, int | None]:
     tokens = line.split()
     try:
         if tokens[0] != "input" or tokens[2] != "layers":
@@ -421,14 +446,23 @@ def _parse_header(line: str) -> tuple[int, tuple[int, ...], int, str]:
             raise ValueError
         output = int(rest[1])
         loss_mode = rest[3]
-        if loss_mode not in LOSS_MODES or len(rest) != 4 or min(dims + (input_dim,)) < 1:
+        window = None
+        if v2 and len(rest) == 6 and rest[4] == "window":
+            window = int(rest[5])
+            if window < 1:
+                raise ValueError
+        elif len(rest) != 4:
+            raise ValueError
+        if loss_mode not in LOSS_MODES or min(dims + (input_dim,)) < 1:
             raise ValueError
     except (ValueError, IndexError):
         raise ModelCorruptionError(f"malformed model header line: {line!r}") from None
-    return input_dim, dims, output, loss_mode
+    return input_dim, dims, output, loss_mode, window
 
 
-def _read_block(reader: _LineReader, label: str, rows: int, cols: int) -> np.ndarray:
+def _read_block(
+    reader: _LineReader, label: str, rows: int, cols: int, v2: bool
+) -> np.ndarray:
     line = reader.next_line(f"block {label}")
     tokens = line.split()
     if len(tokens) != 4 or tokens[0] != "block":
@@ -443,6 +477,17 @@ def _read_block(reader: _LineReader, label: str, rows: int, cols: int) -> np.nda
         raise ModelCorruptionError(
             f"block {label} declares {got_rows}x{got_cols}, expected {rows}x{cols}"
         )
+    if v2:
+        line = reader.next_line(f"data of block {label}")
+        try:
+            payload = binascii.a2b_base64(line, strict_mode=True)
+        except ValueError:
+            raise ModelCorruptionError(f"block {label}: data line is not base64") from None
+        if len(payload) != 8 * rows * cols:
+            raise ModelCorruptionError(
+                f"block {label}: data holds {len(payload)} bytes, expected {8 * rows * cols}"
+            )
+        return np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
     data = np.empty((rows, cols))
     for r in range(rows):
         line = reader.next_line(f"row {r + 1} of block {label}")
@@ -461,17 +506,29 @@ def _read_block(reader: _LineReader, label: str, rows: int, cols: int) -> np.nda
 
 
 def load_model(path) -> ModelParams:
-    """Read a model file; raises the specific error class for each defect."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read a v2 or v1 model file; raises the specific error class for each defect."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelCorruptionError(
+            f"model file is not UTF-8 text: byte {exc.start} is {raw[exc.start]:#04x}"
+        ) from None
+    if "\r" in text:
+        # translate newlines as text mode does, so CRLF files load too
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     reader = _LineReader(text)
     magic = reader.next_line("magic line")
-    if magic != MODEL_MAGIC:
+    if magic not in (MODEL_MAGIC, MODEL_MAGIC_V1):
         if magic.startswith("LSTMPROG "):
             raise ModelVersionError(
-                f"unsupported model version {magic.split(' ', 1)[1]!r}; expected v1"
+                f"unsupported model version {magic.split(' ', 1)[1]!r}; expected v1 or v2"
             )
         raise ModelFormatError(f"not a model file: first line {magic!r}")
-    input_dim, dims, output, loss_mode = _parse_header(reader.next_line("header line"))
+    v2 = magic == MODEL_MAGIC
+    input_dim, dims, output, loss_mode, window = _parse_header(
+        reader.next_line("header line"), v2
+    )
     if output != 1:
         raise ModelCorruptionError(f"unsupported output size {output}; this artifact uses 1")
 
@@ -484,7 +541,7 @@ def load_model(path) -> ModelParams:
             raise ModelCorruptionError(f"malformed scaler line: {probe!r}")
         try:
             scaler = MinMaxScaler(float(tokens[1]), float(tokens[2]))
-        except ValueError:
+        except (ValueError, ConstantSeriesError):
             raise ModelCorruptionError(f"malformed scaler line: {probe!r}") from None
     else:
         reader.index -= 1
@@ -492,11 +549,11 @@ def load_model(path) -> ModelParams:
 
     def read(label: str, shape: tuple[int, ...]) -> np.ndarray:
         rows, cols = shape if len(shape) == 2 else (1,) + shape
-        return _read_block(reader, label, rows, cols).reshape(shape)
+        return _read_block(reader, label, rows, cols, v2).reshape(shape)
 
     theta = fill_param_vector(input_dim, dims, read)
     reader.expect_end()
     try:
-        return ModelParams(theta, dims, input_dim, loss_mode, scaler)
+        return ModelParams(theta, dims, input_dim, loss_mode, scaler, window)
     except ValidationError as exc:
         raise ModelCorruptionError(str(exc)) from None

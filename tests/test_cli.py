@@ -1,9 +1,17 @@
 """End-to-end CLI behavior: subcommands, exit codes, reproducibility."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from prognost.cli import build_parser, run
 from prognost.ingest import IMS_EXPECTED_ROWS, read_series_csv
+
+ROOT = Path(__file__).resolve().parents[1]
+PINNED_V1 = ROOT / "tests" / "data" / "v1_stack_3_2.model"
 
 
 def make_clean_series(tmp_path, n=120, kind="sine"):
@@ -166,7 +174,7 @@ class TestTrainCommand:
         lines = report.read_text().splitlines()
         assert lines[0] == "epoch,train_loss,test_rmse"
         assert len(lines) == 9
-        assert model.read_text().startswith("LSTMPROG v1\n")
+        assert model.read_text().startswith("LSTMPROG v2\n")
 
     def test_sine_contract_200_epochs(self, tmp_path):
         clean = make_clean_series(tmp_path, n=120)
@@ -263,6 +271,38 @@ class TestEvaluateCommand:
             ev.write_metrics_csv(rows, expected)
             assert met.read_bytes() == expected.read_bytes()
 
+    def test_window_defaults_to_the_models(self, tmp_path):
+        clean, model, _ = train_small(tmp_path, window=4)
+        blobs = []
+        for flags in ([], ["--window", "4"]):
+            met, trace = tmp_path / "met.csv", tmp_path / "trace.csv"
+            assert run(["evaluate", "--model", str(model), "--in", str(clean),
+                        "--metrics-out", str(met), "--trace-out", str(trace)] + flags) == 0
+            blobs.append((met.read_bytes(), trace.read_bytes()))
+        assert blobs[0] == blobs[1]
+        n_points = len(read_series_csv(clean))
+        assert len(trace.read_text().splitlines()) - 1 == n_points - 4
+
+    def test_other_window_than_the_models_is_usage_error(self, tmp_path, capsys):
+        clean, model, _ = train_small(tmp_path)
+        capsys.readouterr()
+        assert run(["evaluate", "--model", str(model), "--in", str(clean),
+                    "--metrics-out", str(tmp_path / "m.csv"),
+                    "--trace-out", str(tmp_path / "t.csv"), "--window", "9"]) == 1
+        assert "trained on windows of 5" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_v1_model_window_defaults_to_5(self, tmp_path):
+        # a v1 file records no window, so any --window is taken as given
+        clean = make_clean_series(tmp_path)
+        n_points = len(read_series_csv(clean))
+        trace = tmp_path / "trace.csv"
+        for flags, windows in (([], n_points - 5), (["--window", "3"], n_points - 3)):
+            assert run(["evaluate", "--model", str(PINNED_V1), "--in", str(clean),
+                        "--metrics-out", str(tmp_path / "m.csv"),
+                        "--trace-out", str(trace)] + flags) == 0
+            assert len(trace.read_text().splitlines()) - 1 == windows
+
     def test_corrupt_model_is_data_error(self, tmp_path):
         clean = make_clean_series(tmp_path)
         bad = tmp_path / "bad.model"
@@ -307,6 +347,25 @@ class TestPredictCommand:
         clean, model, _ = train_small(tmp_path)
         assert run(["predict", "--model", str(model), "--window", "a,b,c"]) == 1
 
+    def test_short_window_is_usage_error(self, tmp_path, capsys):
+        clean, model, _ = train_small(tmp_path)
+        capsys.readouterr()
+        assert run(["predict", "--model", str(model), "--window", "1,2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--window has 2 values" in captured.err
+        assert "trained on windows of 5" in captured.err
+
+    def test_nan_in_window_is_data_error(self, tmp_path, capsys):
+        clean, model, _ = train_small(tmp_path)
+        capsys.readouterr()
+        for path in (model, PINNED_V1):
+            assert run(["predict", "--model", str(path), "--window", "nan,1,2,3,4"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "non-finite" in captured.err
+        assert run(["predict", "--model", str(model), "--window", "0.1,inf,0.3,0.4,0.5"]) == 2
+
 
 class TestGradCheckCommand:
     def test_passes_with_defaults(self, capsys):
@@ -327,6 +386,17 @@ class TestGradCheckCommand:
         # gate must trip with exit code 3
         assert run(["grad-check", "--eps", "1e-30"]) == 3
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_out(self):
+        # a fresh interpreter, as every pipeline stage starts one
+        probe = ("import sys, prognost.cli; "
+                 "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestUsageContract:

@@ -1,6 +1,9 @@
 """LSTM cell math, stacked forward pass, initialization, persistence."""
 
+import binascii
 import math
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +24,14 @@ from prognost import (
     save_model,
 )
 from prognost.model import (
+    BCE_CLIP,
     PREDICT_ROWS,
     ModelParams,
     forward_windows,
     layer_zeros,
     param_count,
     predict_windows,
+    sigmoid,
 )
 from prognost.preprocess import MinMaxScaler
 
@@ -171,6 +176,55 @@ class TestCellForward:
         sigmoid_gates = cache.gates[: 3 * 4]
         assert np.all(sigmoid_gates > 0) and np.all(sigmoid_gates < 1)
         assert np.all(np.abs(h) < 1)
+
+
+class TestSigmoid:
+    @staticmethod
+    def oracle(v):
+        """1 / (1 + exp(-v)) over libm's exp, the formula scipy's expit uses."""
+        try:
+            return 1.0 / (1.0 + math.exp(-v))
+        except OverflowError:
+            return 0.0
+
+    def test_close_to_libm_oracle(self):
+        # numpy's vectorized exp may differ from libm's in the last bit;
+        # below 0, where 1 + exp(-v) is large, that bit and the two
+        # roundings after it can part the results by up to 3 ulp
+        rng = np.random.Generator(np.random.PCG64(3))
+        grid = np.concatenate([
+            [0.0, 750.0, -750.0, np.inf, -np.inf],
+            np.linspace(-750.0, 750.0, 30001),
+            rng.normal(0.0, 8.0, 20000),
+        ])
+        got = sigmoid(grid)
+        want = np.array([self.oracle(v) for v in grid])
+        assert got[:5].tolist() == [0.5, 1.0, 0.0, 1.0, 0.0]
+        ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+        assert ulps.max() <= 3
+        assert np.mean(ulps <= 1) > 0.99
+
+    def test_in_place_on_a_slice(self):
+        z = np.array([[-2.0, 0.0, 3.0], [1.0, -1.0, 5.0]])
+        expected = z.copy()
+        expected[:, :2] = sigmoid(z[:, :2])
+        sigmoid(z[:, :2], out=z[:, :2])
+        assert np.array_equal(z, expected)
+
+    def test_saturated_forward_raises_no_warning(self):
+        theta = np.zeros(param_count(1, (3,)))
+        blocks = dict(zero_model((3,)).blocks(theta))
+        # input, output and cell gates open, forget gate shut at -1000
+        for label, bias in (("bi", 1e3), ("bf", -1e3), ("bo", 1e3), ("bc", 1e3)):
+            blocks[f"layer1.{label}"][:] = bias
+        blocks["Wr"][:] = -1e3
+        m = ModelParams(theta, (3,), 1, "bce")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, cache = forward_windows(m, np.ones((2, 4)))
+        assert np.all(cache.steps[-1][0].gates[:, 3:6] == 0.0)
+        assert np.all(cache.y_raw < -709.0)
+        assert np.all(y == BCE_CLIP)
 
 
 class TestForwardWindow:
@@ -369,6 +423,109 @@ class TestPersistence:
         assert np.array_equal(back.theta, params.theta)
         assert back.scaler == scaler and back.loss_mode == loss_mode
 
+    def test_window_round_trips_in_header(self, tmp_path):
+        params = init_params(TrainConfig(hidden_dims=(2,), window=7), 1)
+        path = tmp_path / "m.model"
+        save_model(params, path)
+        assert path.read_text().splitlines()[1].endswith(" loss mse window 7")
+        assert load_model(path).window == 7
+        save_model(replace(params, window=None), path)
+        assert "window" not in path.read_text().splitlines()[1]
+        assert load_model(path).window is None
+
+    @pytest.mark.parametrize("header", [
+        "input 1 layers 1 hidden 2 output 1 loss mse window 0",
+        "input 1 layers 1 hidden 2 output 1 loss mse window",
+        "input 1 layers 1 hidden 2 output 1 loss mse windows 5",
+    ])
+    def test_bad_window_in_header_is_corruption(self, tmp_path, header):
+        path = tmp_path / "m.model"
+        path.write_text(f"LSTMPROG v2\n{header}\nblock Wi 2 1\n")
+        with pytest.raises(ModelCorruptionError, match="header"):
+            load_model(path)
+
+    def test_v1_header_takes_no_window(self, tmp_path):
+        lines = (DATA / "v1_stack_3_2.model").read_text().splitlines()
+        lines[1] += " window 4"
+        path = tmp_path / "m.model"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelCorruptionError, match="header"):
+            load_model(path)
+
+    def test_block_data_is_one_base64_line(self, tmp_path):
+        params = self._model()
+        path = tmp_path / "m.model"
+        save_model(params, path)
+        lines = path.read_text().splitlines()
+        at = lines.index("block Vf 4 4") + 1
+        raw = binascii.a2b_base64(lines[at])
+        assert raw == dict(params.blocks())["layer1.Vf"].astype("<f8").tobytes()
+        assert lines[at + 1] == "block bf 1 4"
+
+    @pytest.mark.parametrize("payload, message", [
+        ("not_base64!", "block Vf: data line is not base64"),
+        ("AAAAAAAAAAA=", "block Vf: data holds 8 bytes, expected 128"),
+        ("AAAA AAAA", "block Vf: data line is not base64"),
+    ])
+    def test_bad_block_data_names_the_block(self, tmp_path, payload, message):
+        path = tmp_path / "m.model"
+        save_model(self._model(), path)
+        lines = path.read_text().splitlines()
+        lines[lines.index("block Vf 4 4") + 1] = payload
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelCorruptionError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("scaler", ["scaler 2.0 1.0", "scaler nan 1.0", "scaler 0.5"])
+    def test_bad_scaler_line_is_corruption(self, tmp_path, scaler):
+        lines = (DATA / "v1_stack_3_2.model").read_text().splitlines()
+        lines[2] = scaler
+        path = tmp_path / "m.model"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelCorruptionError, match="scaler"):
+            load_model(path)
+
+    def test_crlf_file_loads(self, tmp_path):
+        params = self._model()
+        path = tmp_path / "m.model"
+        save_model(params, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert np.array_equal(load_model(path).theta, params.theta)
+
+    def test_non_utf8_byte_is_corruption(self, tmp_path):
+        data = bytearray((DATA / "v1_stack_3_2.model").read_bytes())
+        data[40] = 0xFF
+        path = tmp_path / "m.model"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelCorruptionError, match="byte 40"):
+            load_model(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        version=st.sampled_from(("v1", "v2")),
+        damage=st.one_of(
+            st.tuples(st.just("truncate"), st.floats(0.0, 1.0), st.just(0)),
+            st.tuples(st.just("flip"), st.floats(0.0, 1.0), st.integers(1, 255)),
+        ),
+    )
+    def test_damaged_files_fail_closed(self, tmp_path_factory, version, damage):
+        kind, where, mask = damage
+        data = bytearray((DATA / "v1_stack_3_2.model").read_bytes())
+        path = tmp_path_factory.mktemp("damaged") / "m.model"
+        if version == "v2":
+            save_model(replace(load_model(DATA / "v1_stack_3_2.model"), window=4), path)
+            data = bytearray(path.read_bytes())
+        at = min(int(where * len(data)), len(data) - 1)
+        if kind == "truncate":
+            del data[at:]
+        else:
+            data[at] ^= mask
+        path.write_bytes(bytes(data))
+        try:
+            load_model(path)
+        except (ModelFormatError, ModelVersionError, ModelCorruptionError):
+            pass
+
     def test_pinned_v1_file(self, tmp_path):
         # a 3/2 model trained and written by the per-gate (12 blocks per
         # layer) implementation that preceded the stacked-gate layout
@@ -376,8 +533,14 @@ class TestPersistence:
         params = load_model(pinned)
         assert params.hidden_dims == (3, 2)
         assert params.scaler == MinMaxScaler(0.017, 1.93)
-        resaved = tmp_path / "again.model"
+        assert params.window is None
+        # v1 is read only: the re-saved v2 file loads back to the same model
+        resaved, again = tmp_path / "v2.model", tmp_path / "again.model"
         save_model(params, resaved)
-        assert resaved.read_bytes() == pinned.read_bytes()
+        back = load_model(resaved)
+        assert np.array_equal(back.theta, params.theta)
+        assert back.scaler == params.scaler and back.hidden_dims == params.hidden_dims
+        save_model(back, again)
+        assert again.read_bytes() == resaved.read_bytes()
         y = predict_windows(params, np.array([[0.1, 0.35, 0.6, 0.85], [0.9, 0.7, 0.5, 0.3]]))
         assert [v.hex() for v in y] == ["-0x1.e845dafd609ecp-3", "-0x1.b9aa1ebfcc1aap-2"]

@@ -30,12 +30,13 @@ def series_of(values, timestamps=None):
 
 
 def rolling_median_mad_oracle(values, window):
-    """Brute-force centered rolling median/MAD with truncated edges."""
+    """Brute-force centered rolling median/MAD with truncated edges; an
+    even-length edge window takes the lower middle value as its median."""
     half = window // 2
     out = []
     for i in range(len(values)):
         w = values[max(0, i - half) : i + half + 1]
-        m = float(np.median(w))
+        m = float(sorted(w)[(len(w) - 1) // 2])
         d = float(np.median(np.abs(np.asarray(w) - m)))
         out.append((m, d))
     return out
@@ -108,6 +109,13 @@ class TestRemoveOutliers:
         twice, again = remove_outliers(once, window, k)
         assert again == []
         assert np.array_equal(once.values, twice.values)
+
+    def test_even_edge_window_reaches_fixpoint(self):
+        # with the two middle values averaged, index 2 halved on every pass
+        once, replaced = remove_outliers(series_of([0.0, 1.0, 2.0, 0.0]), window=5, k=2)
+        assert replaced == [1, 2]
+        np.testing.assert_array_equal(once.values, [0.0, 0.0, 0.0, 0.0])
+        assert remove_outliers(once, window=5, k=2)[1] == []
 
     def test_timestamps_and_metadata_preserved(self):
         s = SnapshotSeries([0.0, 10.0, 20.0, 30.0, 40.0], [1, 1, 9, 1, 1], "lbl", 2)
