@@ -112,11 +112,45 @@ def scan_ims_directory(directory, expected_channels: int) -> ScanResult:
 def parse_ims_file(content: str, expected_channels: int) -> SnapshotMatrix:
     """Parse one snapshot file body into a rows x channels matrix.
 
-    Row counts other than 20480 are tolerated but attach a warning, since
-    public copies of the dataset contain a few truncated files.
+    Each non-blank line holds ``expected_channels`` whitespace-separated
+    decimal numbers. The whole body is parsed in one ``np.loadtxt`` call
+    over the lines of ``str.splitlines``, so line ends are the same as the
+    line scan's; input it rejects goes to the line scan, which names the
+    bad line. Row counts other than 20480 are tolerated but attach a
+    warning, since public copies of the dataset contain a few truncated
+    files.
     """
     if expected_channels < 1:
         raise ValidationError("expected_channels must be >= 1")
+    samples = None
+    # an empty body would make loadtxt warn "input contained no data"
+    if content and not content.isspace():
+        try:
+            samples = np.loadtxt(
+                content.splitlines(), dtype=np.float64, ndmin=2, comments=None
+            )
+        except ValueError:
+            pass
+    if samples is None or not (
+        samples.shape[0] >= 1
+        and samples.shape[1] == expected_channels
+        and np.isfinite(samples).all()
+    ):
+        samples = _scan_ims_lines(content, expected_channels)
+    warnings = ()
+    if samples.shape[0] != IMS_EXPECTED_ROWS:
+        warnings = (
+            f"expected {IMS_EXPECTED_ROWS} rows per snapshot, got {samples.shape[0]}",
+        )
+    return SnapshotMatrix(samples, warnings)
+
+
+def _scan_ims_lines(content: str, expected_channels: int) -> np.ndarray:
+    """Line-by-line parse of a snapshot body; raises naming the bad line.
+
+    Also accepts tokens that ``float`` reads but ``np.loadtxt`` does not,
+    such as ``1_0``.
+    """
     rows = []
     for lineno, line in enumerate(content.splitlines(), start=1):
         parts = line.split()
@@ -145,12 +179,7 @@ def parse_ims_file(content: str, expected_channels: int) -> SnapshotMatrix:
     if bad.any():
         lineno = rows[int(np.argwhere(bad)[0][0])][0]
         raise ParseError(f"line {lineno}: non-finite sample value")
-    warnings = ()
-    if samples.shape[0] != IMS_EXPECTED_ROWS:
-        warnings = (
-            f"expected {IMS_EXPECTED_ROWS} rows per snapshot, got {samples.shape[0]}",
-        )
-    return SnapshotMatrix(samples, warnings)
+    return samples
 
 
 def serialize_snapshot_matrix(matrix: SnapshotMatrix) -> str:
@@ -264,13 +293,19 @@ def load_ims_series(
     """Scan, parse and aggregate a whole IMS directory into one series.
 
     Also returns the parse warnings of each file that has any (such as a
-    truncated snapshot), keyed by file name, in timestamp order.
+    truncated snapshot), keyed by file name, in timestamp order. A file
+    that cannot be read or parsed raises with its name before the message.
     """
     scan = scan_ims_directory(directory, expected_channels)
     values = []
     warnings = {}
     for ref in scan.refs:
-        matrix = parse_ims_file(ref.path.read_text(encoding="ascii"), expected_channels)
+        try:
+            matrix = parse_ims_file(ref.path.read_text(encoding="ascii"), expected_channels)
+        except (ParseError, EmptyDatasetError) as exc:
+            raise type(exc)(f"{ref.path.name}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{ref.path.name}: {exc}") from None
         values.append(aggregate_snapshot(matrix, channel, method))
         if matrix.warnings:
             warnings[ref.path.name] = matrix.warnings

@@ -115,6 +115,31 @@ class TestIngest:
         assert len(warned) == 1
         assert "2004.02.12.10.42.39" in warned[0] and "got " in warned[0]
 
+    def test_bad_snapshot_error_names_file_and_line(self, tmp_path, capsys):
+        data = tmp_path / "ims"
+        data.mkdir()
+        lines = ["0.1\t0.2\t0.3\t0.4"] * 10
+        (data / "2004.02.12.10.32.39").write_text("\n".join(lines) + "\n")
+        lines[6] = "0.1\t0.2\t0.3"
+        (data / "2004.02.12.10.42.39").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o.csv"
+        assert run(["ingest", "--ims-dir", str(data), "--channels", "4",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: 2004.02.12.10.42.39: line 7: expected 4 columns, got 3\n"
+        )
+        assert not out.exists()
+
+    def test_non_ascii_snapshot_error_names_file(self, tmp_path, capsys):
+        data = tmp_path / "ims"
+        data.mkdir()
+        (data / "2004.02.12.10.32.39").write_bytes(b"0.1\t0.2\n0.3\t0.4\xc2\xb5\n")
+        assert run(["ingest", "--ims-dir", str(data), "--channels", "2",
+                    "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "data error: 2004.02.12.10.32.39: 'ascii' codec can't decode byte 0xc2"
+        )
+
     def test_reruns_byte_identical(self, tmp_path):
         data = tmp_path / "ims"
         data.mkdir()

@@ -2,9 +2,12 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prognost import (
     EmptyDatasetError,
@@ -19,7 +22,101 @@ from prognost import (
     serialize_snapshot_matrix,
     write_series_csv,
 )
-from prognost.ingest import SnapshotMatrix, load_ims_series
+from prognost import ingest
+from prognost.ingest import IMS_EXPECTED_ROWS, SnapshotMatrix, load_ims_series
+
+
+def parse_oracle(content, expected_channels):
+    """Line-by-line snapshot parse with float() per token.
+
+    Checks every line's column count first, then every token, then
+    finiteness, and raises the message parse_ims_file documents for the
+    first failure of each kind. Returns (samples, warnings).
+    """
+    rows = []
+    for lineno, line in enumerate(content.splitlines(), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != expected_channels:
+            raise ParseError(
+                f"line {lineno}: expected {expected_channels} columns, got {len(parts)}"
+            )
+        rows.append((lineno, parts))
+    if not rows:
+        raise EmptyDatasetError("snapshot file contains no samples")
+    values = []
+    for lineno, parts in rows:
+        row = []
+        for tok in parts:
+            try:
+                row.append(float(tok))
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-numeric token {tok!r}") from None
+        values.append(row)
+    for (lineno, _), row in zip(rows, values):
+        if not all(math.isfinite(v) for v in row):
+            raise ParseError(f"line {lineno}: non-finite sample value")
+    notes = ()
+    if len(values) != IMS_EXPECTED_ROWS:
+        notes = (f"expected {IMS_EXPECTED_ROWS} rows per snapshot, got {len(values)}",)
+    return np.array(values, dtype=np.float64), notes
+
+
+def outcome(parse, content, expected_channels):
+    """What a parse gives: the matrix bytes and its warnings, or the error."""
+    try:
+        samples, notes = parse(content, expected_channels)
+    except Exception as exc:
+        return ("error", type(exc), str(exc))
+    return ("ok", samples.shape, samples.tobytes(), notes)
+
+
+def parse_matrix(content, expected_channels):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        m = parse_ims_file(content, expected_channels)
+    assert caught == []
+    return m.samples, m.warnings
+
+
+FAULTS = ("nan", "inf", "1e400", "x", "1_0", "#1", "0x1p3")
+FORMATS = (repr, "{:.17g}".format, "{:g}".format, "{:.6e}".format)
+
+
+@st.composite
+def snapshot_bodies(draw):
+    """A snapshot body with random separators and line ends, maybe one fault,
+    and the channel count to parse it with: its own, or twice that."""
+    channels = draw(st.integers(1, 6))
+    n_rows = draw(st.integers(1, 8))
+    fmt = draw(st.sampled_from(FORMATS))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [[fmt(draw(finite)) for _ in range(channels)] for _ in range(n_rows)]
+    fault = draw(st.sampled_from((None, "short", "long") + FAULTS))
+    if fault is not None:
+        r = draw(st.integers(0, n_rows - 1))
+        if fault == "short":
+            del rows[r][draw(st.integers(0, channels - 1))]
+        elif fault == "long":
+            rows[r].insert(draw(st.integers(0, channels)), fmt(draw(finite)))
+        else:
+            rows[r][draw(st.integers(0, channels - 1))] = fault
+    seps = st.text(alphabet=" \t\x1f\xa0", min_size=1, max_size=3)
+    pads = st.text(alphabet=" \t\x1f\xa0", max_size=2)
+    ends = st.sampled_from(("\n", "\r\n", "\r", "\x0b", "\x0c"))
+    lines = []
+    for row in rows:
+        while draw(st.integers(0, 3)) == 3:
+            lines.append(draw(pads))
+        line = row[0] if row else ""
+        for tok in row[1:]:
+            line += draw(seps) + tok
+        lines.append(draw(pads) + line + draw(pads))
+    body = "".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        body = body.rstrip("\n\r\x0b\x0c")
+    return body, channels * draw(st.sampled_from((1, 1, 2)))
 
 
 def _touch(directory, *names):
@@ -87,6 +184,32 @@ class TestParseImsFile:
         m = parse_ims_file("0.1\n0.2\n0.3\n", expected_channels=1)
         assert m.warnings and "20480" in m.warnings[0]
 
+    @pytest.mark.filterwarnings("error")
+    def test_blank_and_empty_bodies_have_no_samples(self):
+        for body in ("", "\n\n", " \t \r\n\x0c"):
+            with pytest.raises(EmptyDatasetError, match="no samples"):
+                parse_ims_file(body, expected_channels=2)
+
+    def test_vertical_tab_ends_a_line(self):
+        m = parse_ims_file("1 2\x0b3 4", expected_channels=2)
+        np.testing.assert_array_equal(m.samples, [[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ParseError, match="^line 1: expected 2 columns, got 1$"):
+            parse_ims_file("1\x0b2\n3\x0c4\n", expected_channels=2)
+
+    def test_underscore_digits_parse_as_float_does(self):
+        m = parse_ims_file("1_0\t2\n", expected_channels=2)
+        np.testing.assert_array_equal(m.samples, [[10.0, 2.0]])
+
+    def test_non_finite_value_names_line(self):
+        with pytest.raises(ParseError, match="^line 3: non-finite"):
+            parse_ims_file("0.1\t0.2\n\n1e400\t0.4\n", expected_channels=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(snapshot_bodies())
+    def test_matches_line_scan_oracle(self, case):
+        body, channels = case
+        assert outcome(parse_matrix, body, channels) == outcome(parse_oracle, body, channels)
+
     def test_runs_of_spaces_accepted(self):
         m = parse_ims_file("0.1   0.2\n0.3 \t 0.4\n", expected_channels=2)
         np.testing.assert_array_equal(m.samples, [[0.1, 0.2], [0.3, 0.4]])
@@ -106,6 +229,44 @@ class TestParseImsFile:
         scan = scan_ims_directory(os.environ["IMS_DATASET_DIR"], expected_channels=4)
         m = parse_ims_file(scan.refs[0].path.read_text(), expected_channels=4)
         assert (m.rows, m.channels) == (20480, 4)
+
+
+class TestFastPathGuard:
+    """Valid bodies must never reach the line scan, which is several times slower."""
+
+    def test_valid_snapshot_never_reaches_scan(self, monkeypatch):
+        def scan(content, expected_channels):
+            raise AssertionError("a valid snapshot fell back to the line scan")
+
+        monkeypatch.setattr(ingest, "_scan_ims_lines", scan)
+        rng = np.random.Generator(np.random.PCG64(4))
+        original = SnapshotMatrix(rng.normal(0, 0.25, size=(IMS_EXPECTED_ROWS, 4)))
+        back = parse_ims_file(serialize_snapshot_matrix(original), expected_channels=4)
+        assert np.array_equal(back.samples, original.samples)
+        assert back.warnings == ()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0.1\t0.2\n0.3\n", "line 2: expected 2 columns, got 1"),
+            ("0.1\t0.2\nxx\t0.4\n", "line 2: non-numeric token 'xx'"),
+            ("0.1\t0.2\n0.3\tnan\n", "line 2: non-finite sample value"),
+            ("0.1\t0.2\t0.3\n", "line 1: expected 2 columns, got 3"),
+        ],
+    )
+    def test_bad_lines_raise_from_scan(self, monkeypatch, body, message):
+        calls = []
+        real_scan = ingest._scan_ims_lines
+
+        def scan(content, expected_channels):
+            calls.append(content)
+            return real_scan(content, expected_channels)
+
+        monkeypatch.setattr(ingest, "_scan_ims_lines", scan)
+        with pytest.raises(ParseError) as info:
+            parse_ims_file(body, expected_channels=2)
+        assert str(info.value) == message
+        assert calls == [body]
 
 
 class TestAggregateSnapshot:
@@ -242,6 +403,26 @@ class TestLoadImsSeries:
         assert list(warnings) == [ref.path.name for ref in scan.refs]
         expected = []
         for ref in scan.refs:
-            m = parse_ims_file(ref.path.read_text(), 2)
-            expected.append(aggregate_snapshot(m, 1, "rms"))
+            samples, _ = parse_oracle(ref.path.read_text(), 2)
+            expected.append(aggregate_snapshot(SnapshotMatrix(samples), 1, "rms"))
         np.testing.assert_array_equal(series.values, expected)
+
+    @pytest.mark.parametrize(
+        "body, error, message",
+        [
+            ("0.1\t0.2\n0.3\n", ParseError, "line 2: expected 2 columns, got 1"),
+            ("\n\n", EmptyDatasetError, "snapshot file contains no samples"),
+        ],
+    )
+    def test_errors_name_the_file(self, tmp_path, body, error, message):
+        self._make_dir(tmp_path, n_files=3)
+        (tmp_path / "2004.02.12.11.32.39").write_text(body)
+        with pytest.raises(error) as info:
+            load_ims_series(tmp_path, expected_channels=2, channel=0)
+        assert str(info.value) == f"2004.02.12.11.32.39: {message}"
+
+    def test_non_ascii_byte_names_the_file(self, tmp_path):
+        self._make_dir(tmp_path, n_files=2)
+        (tmp_path / "2004.02.12.11.32.39").write_bytes(b"0.1\t0.2\n0.3\t\xe90.4\n")
+        with pytest.raises(ParseError, match=r"^2004\.02\.12\.11\.32\.39: 'ascii' codec"):
+            load_ims_series(tmp_path, expected_channels=2, channel=0)
