@@ -9,6 +9,8 @@ import numpy as np
 
 from prognost.cli import build_parser, run
 from prognost.ingest import IMS_EXPECTED_ROWS, read_series_csv
+from prognost.model import load_model, predict_windows
+from prognost.preprocess import apply_scaler
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED_V1 = ROOT / "tests" / "data" / "v1_stack_3_2.model"
@@ -367,6 +369,22 @@ class TestPredictCommand:
         assert code == 0
         value = float(capsys.readouterr().out.strip())
         assert np.isfinite(value)
+
+    def test_prints_predict_windows_through_the_scaler(self, tmp_path, capsys):
+        # predict runs the cached forward_window; the batched predict_windows
+        # must give the same bits, mapped through the model's scaler
+        clean, model, _ = train_small(tmp_path)
+        values = read_series_csv(clean).values
+        capsys.readouterr()
+        for path in (model, PINNED_V1):
+            params = load_model(path)
+            for start in (0, 17, 40, len(values) - 5):
+                window = values[start : start + 5]
+                text = ",".join(repr(float(v)) for v in window)
+                assert run(["predict", "--model", str(path), f"--window={text}"]) == 0
+                x, _ = apply_scaler(params.scaler, window, "forward")
+                y, _ = apply_scaler(params.scaler, predict_windows(params, x[None, :]), "inverse")
+                assert capsys.readouterr().out == f"{float(y[0])!r}\n"
 
     def test_bad_window_is_usage_error(self, tmp_path):
         clean, model, _ = train_small(tmp_path)

@@ -2,6 +2,7 @@
 
 import binascii
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +26,7 @@ from prognost import (
 )
 from prognost.model import (
     BCE_CLIP,
+    LOSS_MODES,
     PREDICT_ROWS,
     ModelParams,
     forward_windows,
@@ -159,6 +161,17 @@ class TestCellForward:
             np.testing.assert_allclose(h[row], h1, rtol=0, atol=1e-15)
             np.testing.assert_allclose(c[row], c1, rtol=0, atol=1e-15)
 
+    def test_out_buffers_advance_the_state_in_place(self):
+        rng = np.random.Generator(np.random.PCG64(13))
+        p = init_params(TrainConfig(hidden_dims=(4, 3)), 13).layers[1]
+        x, h_prev, c_prev = rng.uniform(-1, 1, (3, 5, 4))
+        h_prev, c_prev = h_prev[:, :3].copy(), c_prev[:, :3].copy()
+        h_ref, c_ref, _ = lstm_cell_forward(p, x, h_prev, c_prev)
+        out = (np.empty((5, 12)), np.empty((5, 12)), h_prev, c_prev, np.empty((5, 3)))
+        h, c, cache = lstm_cell_forward(p, x, h_prev, c_prev, out)
+        assert h is h_prev and c is c_prev and cache is None
+        assert np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
+
     def test_shape_mismatch(self):
         p = layer_zeros(1, 3)
         with pytest.raises(ValueError):
@@ -276,12 +289,43 @@ class TestForwardWindow:
             y_ref, _ = forward_window(params, windows[i])
             assert abs(ys[i] - y_ref) < 1e-13
 
-    def test_large_batch_forwarded_in_parts(self):
-        params = init_params(TrainConfig(hidden_dims=(8, 4)), 9)
-        rng = np.random.Generator(np.random.PCG64(12))
-        windows = rng.uniform(-1, 1, size=(PREDICT_ROWS + 1003, 5))
-        one_pass, _ = forward_windows(params, windows, want_cache=False)
-        np.testing.assert_allclose(predict_windows(params, windows), one_pass, rtol=0, atol=1e-15)
+    @pytest.mark.parametrize("dims", [(8, 4), (5,)], ids=["stack8_4", "stack5"])
+    @pytest.mark.parametrize("mode", LOSS_MODES)
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, 7, 8, PREDICT_ROWS - 1, PREDICT_ROWS, PREDICT_ROWS + 1,
+         2 * PREDICT_ROWS + 3, 8 * PREDICT_ROWS + 5],
+    )
+    def test_predict_agrees_with_cached_forward(self, dims, mode, n):
+        params = init_params(TrainConfig(hidden_dims=dims, loss_mode=mode), 9)
+        windows = np.random.Generator(np.random.PCG64(n)).uniform(-1, 1, size=(n, 5))
+        ys = predict_windows(params, windows)
+        assert ys.shape == (n,)
+        if n == 1:
+            # the CLI's predict runs forward_window; the bits must be the same
+            assert ys[0] == forward_window(params, windows[0])[0]
+        np.testing.assert_allclose(ys, forward_windows(params, windows)[0], rtol=0, atol=1e-15)
+
+    def test_predict_rejects_a_flat_window(self):
+        with pytest.raises(ValueError):
+            predict_windows(zero_model((4, 3)), np.zeros(5))
+
+    def test_predict_memory_stops_growing_at_256_rows(self):
+        # Parts of at most 256 rows keep a step's arrays cache-sized, so from
+        # 256 windows on only the output may grow with the batch. The windows
+        # exist before tracing starts; 4 KiB covers the list of part bounds.
+        params = init_params(TrainConfig(hidden_dims=(32, 16)), 3)
+        rng = np.random.Generator(np.random.PCG64(4))
+        peaks = []
+        for n in (256, 16 * 256):
+            windows = rng.uniform(-1, 1, size=(n, 5))
+            tracemalloc.start()
+            try:
+                predict_windows(params, windows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 15 * 256 * 8 + 4096
 
     def test_bce_mode_head_is_sigmoid(self):
         params = init_params(TrainConfig(hidden_dims=(3,), loss_mode="bce"), 5)
