@@ -41,7 +41,6 @@ from .ingest import (
     parse_ims_file,
     read_series_csv,
     scan_ims_directory,
-    serialize_snapshot_matrix,
 )
 from .model import (
     LayerParams,
@@ -66,8 +65,6 @@ from .preprocess import (
     prepare_training_data,
     remove_outliers,
     split_train_test,
-    write_indexed_series_csv,
-    write_windows_csv,
 )
 from .series import SnapshotSeries, write_series_csv
 from .train import (

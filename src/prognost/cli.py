@@ -291,6 +291,13 @@ def _cmd_gen_fixture(args) -> int:
 def run(argv: list[str]) -> int:
     """Parse and dispatch; returns the exit code instead of raising."""
     parser = build_parser()
+    # argparse reads "--window -0.5,1" as a flag without its value, because
+    # -0.5,1 is not a plain number; glue such a value to its flag.
+    argv = list(argv)
+    if "--window" in argv[:-1]:
+        i = argv.index("--window")
+        if argv[i + 1].startswith("-"):
+            argv[i : i + 2] = [f"--window={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -73,9 +73,5 @@ class GradientError(NumericError):
     """A gradient block became non-finite; message names the block."""
 
 
-class GradCheckFailedError(NumericError):
-    """Analytic and numeric gradients disagree beyond tolerance."""
-
-
 class ContractError(PrognosticsError):
     """API misuse, e.g. a backward pass fed a cache from other parameters."""

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyDatasetError, ParseError, ValidationError
-from .series import SnapshotSeries, fmt_float
+from .series import SnapshotSeries, frozen_copy
 
 IMS_FILENAME_FORMAT = "%Y.%m.%d.%H.%M.%S"
 IMS_EXPECTED_ROWS = 20480
@@ -40,12 +40,11 @@ class SnapshotMatrix:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=np.float64, copy=True)
+        samples = frozen_copy(self.samples)
         if samples.ndim != 2:
             raise ValidationError("snapshot samples must be 2-D")
         if not np.isfinite(samples).all():
             raise ValidationError("snapshot samples must be finite")
-        samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -63,7 +62,6 @@ class ScanResult:
 
     refs: tuple[SnapshotFileRef, ...]
     skipped: tuple[str, ...]
-    expected_channels: int
 
     def __len__(self) -> int:
         return len(self.refs)
@@ -78,7 +76,7 @@ def parse_ims_timestamp(name: str) -> float | None:
     return dt.replace(tzinfo=timezone.utc).timestamp()
 
 
-def scan_ims_directory(directory, expected_channels: int) -> ScanResult:
+def scan_ims_directory(directory) -> ScanResult:
     """List snapshot files in timestamp order.
 
     Non-matching filenames are reported in ``skipped``, not fatal. The
@@ -106,7 +104,7 @@ def scan_ims_directory(directory, expected_channels: int) -> ScanResult:
             raise ValidationError(
                 f"duplicate snapshot timestamp: {a.path.name} vs {b.path.name}"
             )
-    return ScanResult(tuple(refs), tuple(sorted(skipped)), expected_channels)
+    return ScanResult(tuple(refs), tuple(sorted(skipped)))
 
 
 def parse_ims_file(content: str, expected_channels: int) -> SnapshotMatrix:
@@ -180,14 +178,6 @@ def _scan_ims_lines(content: str, expected_channels: int) -> np.ndarray:
         lineno = rows[int(np.argwhere(bad)[0][0])][0]
         raise ParseError(f"line {lineno}: non-finite sample value")
     return samples
-
-
-def serialize_snapshot_matrix(matrix: SnapshotMatrix) -> str:
-    """Tab-separated text that parse_ims_file maps back to the same matrix."""
-    lines = []
-    for row in matrix.samples:
-        lines.append("\t".join(fmt_float(v) for v in row))
-    return "\n".join(lines) + "\n"
 
 
 def aggregate_snapshot(matrix: SnapshotMatrix, channel: int, method: str = "rms") -> float:
@@ -296,7 +286,7 @@ def load_ims_series(
     truncated snapshot), keyed by file name, in timestamp order. A file
     that cannot be read or parsed raises with its name before the message.
     """
-    scan = scan_ims_directory(directory, expected_channels)
+    scan = scan_ims_directory(directory)
     values = []
     warnings = {}
     for ref in scan.refs:

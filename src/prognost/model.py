@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .preprocess import MinMaxScaler
-from .series import fmt_float
+from .series import fmt_float, frozen_copy
 
 MODEL_MAGIC = "LSTMPROG v2"
 MODEL_MAGIC_V1 = "LSTMPROG v1"
@@ -98,24 +98,23 @@ def layer_zeros(input_size: int, hidden_size: int) -> LayerParams:
     )
 
 
-def param_count(input_dim: int, hidden_dims) -> int:
-    """Length of the parameter vector of a stack with these sizes."""
-    n, k = 0, input_dim
+def param_count(hidden_dims) -> int:
+    """Length of the parameter vector of a stack with these hidden sizes."""
+    n, k = 0, 1
     for d in hidden_dims:
         n += 4 * d * (k + d + 1)
         k = d
     return n + k
 
 
-def param_views(vec: np.ndarray, input_dim: int, hidden_dims):
+def param_views(vec: np.ndarray, hidden_dims):
     """Per-layer W/V/b views and the head view into one parameter-layout vector."""
-    if vec.shape != (param_count(input_dim, hidden_dims),):
+    if vec.shape != (param_count(hidden_dims),):
         raise ValidationError(
-            f"parameter vector of shape {vec.shape} does not fit input {input_dim}, "
-            f"hidden {tuple(hidden_dims)}"
+            f"parameter vector of shape {vec.shape} does not fit hidden {tuple(hidden_dims)}"
         )
     layers = []
-    pos, k = 0, input_dim
+    pos, k = 0, 1
     for d in hidden_dims:
         rows = 4 * d
         w = vec[pos : pos + rows * k].reshape(rows, k)
@@ -128,10 +127,10 @@ def param_views(vec: np.ndarray, input_dim: int, hidden_dims):
     return tuple(layers), vec[pos:].reshape(1, k)
 
 
-def fill_param_vector(input_dim: int, hidden_dims, fill) -> np.ndarray:
+def fill_param_vector(hidden_dims, fill) -> np.ndarray:
     """Parameter vector whose blocks ``fill(label, shape)`` fills in file order."""
-    theta = np.empty(param_count(input_dim, hidden_dims))
-    layers, w_r = param_views(theta, input_dim, hidden_dims)
+    theta = np.empty(param_count(hidden_dims))
+    layers, w_r = param_views(theta, hidden_dims)
     for layer in layers:
         for label, block in layer.blocks():
             block[...] = fill(label, block.shape)
@@ -148,7 +147,6 @@ class ModelParams:
 
     theta: np.ndarray
     hidden_dims: tuple[int, ...]
-    input_dim: int = 1
     loss_mode: str = "mse"
     scaler: MinMaxScaler | None = None
     window: int | None = None
@@ -163,9 +161,8 @@ class ModelParams:
             raise ValidationError(f"loss_mode must be one of {LOSS_MODES}")
         if self.window is not None and not self.window >= 1:
             raise ValidationError(f"window must be a positive length, got {self.window}")
-        theta = np.array(self.theta, dtype=np.float64, copy=True)
-        theta.flags.writeable = False
-        layers, w_r = param_views(theta, self.input_dim, dims)
+        theta = frozen_copy(self.theta)
+        layers, w_r = param_views(theta, dims)
         object.__setattr__(self, "hidden_dims", dims)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "layers", layers)
@@ -178,9 +175,7 @@ class ModelParams:
     def blocks(self, vec: np.ndarray | None = None):
         """(name, view) pairs in file order, layer1.Wi ... layerN.bc then Wr,
         over ``theta`` or over any vector of its layout (a gradient, a moment)."""
-        layers, w_r = param_views(
-            self.theta if vec is None else vec, self.input_dim, self.hidden_dims
-        )
+        layers, w_r = param_views(self.theta if vec is None else vec, self.hidden_dims)
         for li, layer in enumerate(layers, start=1):
             for label, block in layer.blocks():
                 yield f"layer{li}.{label}", block
@@ -221,10 +216,8 @@ def init_params(config, seed: int | None = None) -> ModelParams:
         lim = np.sqrt(6.0 / sum(shape))
         return rng.uniform(-lim, lim, size=shape)
 
-    theta = fill_param_vector(1, hidden_dims, glorot)
-    return ModelParams(
-        theta, hidden_dims, input_dim=1, loss_mode=config.loss_mode, window=config.window
-    )
+    theta = fill_param_vector(hidden_dims, glorot)
+    return ModelParams(theta, hidden_dims, loss_mode=config.loss_mode, window=config.window)
 
 
 @dataclass
@@ -237,7 +230,6 @@ class CellCache:
     h_prev: np.ndarray
     c_prev: np.ndarray
     gates: np.ndarray
-    c: np.ndarray
     tanh_c: np.ndarray
 
 
@@ -297,7 +289,7 @@ def lstm_cell_forward(
     c += np.multiply(i, g, out=tanh_c)
     tanh_c = np.tanh(c, out=tanh_c)
     h = np.multiply(o, tanh_c, out=h)
-    return h, c, CellCache(x, h_prev, c_prev, gates, c, tanh_c) if fresh else None
+    return h, c, CellCache(x, h_prev, c_prev, gates, tanh_c) if fresh else None
 
 
 @dataclass
@@ -307,21 +299,18 @@ class ForwardCache:
     params: ModelParams
     steps: list[list[CellCache]]
     head_input: np.ndarray
-    y_raw: np.ndarray
     y: np.ndarray
     head_interior: np.ndarray | None
 
 
-def _head(
-    m: ModelParams, head_input: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Head output of the top layer's final state: (y_raw, y, interior)."""
+def _head(m: ModelParams, head_input: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Head output of the top layer's final state: (y, interior)."""
     y_raw = (head_input @ m.w_r.T)[:, 0]
     if m.loss_mode != "bce":
-        return y_raw, y_raw, None
+        return y_raw, None
     q = sigmoid(y_raw)
     interior = (q > BCE_CLIP) & (q < 1.0 - BCE_CLIP)
-    return y_raw, np.clip(q, BCE_CLIP, 1.0 - BCE_CLIP), interior
+    return np.clip(q, BCE_CLIP, 1.0 - BCE_CLIP), interior
 
 
 def forward_windows(m: ModelParams, windows: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -345,8 +334,8 @@ def forward_windows(m: ModelParams, windows: np.ndarray) -> tuple[np.ndarray, Fo
             x = h[li]
             caches.append(cache)
         steps.append(caches)
-    y_raw, y, interior = _head(m, h[-1])
-    return y, ForwardCache(m, steps, h[-1], y_raw, y, interior)
+    y, interior = _head(m, h[-1])
+    return y, ForwardCache(m, steps, h[-1], y, interior)
 
 
 def forward_window(m: ModelParams, window) -> tuple[float, ForwardCache]:
@@ -391,16 +380,13 @@ def predict_windows(m: ModelParams, windows: np.ndarray) -> np.ndarray:
             x = part[:, t : t + 1]
             for layer, out in zip(m.layers, outs):
                 x, _, _ = lstm_cell_forward(layer, x, out[2], out[3], out)
-        y[lo:hi] = _head(m, x)[1]
+        y[lo:hi] = _head(m, x)[0]
     return y
 
 
 def _header_line(m: ModelParams) -> str:
     dims = " ".join(str(d) for d in m.hidden_dims)
-    line = (
-        f"input {m.input_dim} layers {len(m.layers)} hidden {dims} "
-        f"output 1 loss {m.loss_mode}"
-    )
+    line = f"input 1 layers {len(m.layers)} hidden {dims} output 1 loss {m.loss_mode}"
     return line if m.window is None else f"{line} window {m.window}"
 
 
@@ -478,7 +464,7 @@ def _parse_header(line: str, v2: bool) -> tuple[int, tuple[int, ...], int, str, 
                 raise ValueError
         elif len(rest) != 4:
             raise ValueError
-        if loss_mode not in LOSS_MODES or min(dims + (input_dim,)) < 1:
+        if loss_mode not in LOSS_MODES or min(dims) < 1:
             raise ValueError
     except (ValueError, IndexError):
         raise ModelCorruptionError(f"malformed model header line: {line!r}") from None
@@ -554,6 +540,8 @@ def load_model(path) -> ModelParams:
     input_dim, dims, output, loss_mode, window = _parse_header(
         reader.next_line("header line"), v2
     )
+    if input_dim != 1:
+        raise ModelCorruptionError(f"unsupported input size {input_dim}; this artifact uses 1")
     if output != 1:
         raise ModelCorruptionError(f"unsupported output size {output}; this artifact uses 1")
 
@@ -576,9 +564,9 @@ def load_model(path) -> ModelParams:
         rows, cols = shape if len(shape) == 2 else (1,) + shape
         return _read_block(reader, label, rows, cols, v2).reshape(shape)
 
-    theta = fill_param_vector(input_dim, dims, read)
+    theta = fill_param_vector(dims, read)
     reader.expect_end()
     try:
-        return ModelParams(theta, dims, input_dim, loss_mode, scaler, window)
+        return ModelParams(theta, dims, loss_mode, scaler, window)
     except ValidationError as exc:
         raise ModelCorruptionError(str(exc)) from None

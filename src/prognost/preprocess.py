@@ -2,14 +2,15 @@
 
 The normalization is x' = (x - min(x)) / (max(x) - min(x)). Windowing
 pairs each run of W consecutive values with the value that follows it;
-the split keeps the first 70% of windows for training so no future
-degradation leaks backwards in time.
+the split keeps the first 70% (SPLIT_RATIO) of windows for training so
+no future degradation leaks backwards in time. The paper fixes that
+ratio, and a model file does not record it, so train and evaluate both
+use the constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -21,10 +22,10 @@ from .errors import (
     InsufficientDataError,
     ValidationError,
 )
-from .series import SnapshotSeries, fmt_float
+from .series import SnapshotSeries, frozen_copy
 
 DEFAULT_WINDOW_LENGTH = 5
-DEFAULT_SPLIT_RATIO = 0.7
+SPLIT_RATIO = 0.7
 DEFAULT_OUTLIER_WINDOW = 11
 DEFAULT_OUTLIER_K = 5.0
 DEFAULT_MAX_GAP = 3
@@ -51,12 +52,6 @@ class MinMaxScaler:
         return self.max - self.min
 
 
-def _readonly(a, dtype=np.float64) -> np.ndarray:
-    out = np.array(a, dtype=dtype, copy=True)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class WindowedDataset:
     """Stride-1 sliding windows with one scalar target per window.
@@ -72,10 +67,10 @@ class WindowedDataset:
     target_timestamps: np.ndarray
 
     def __post_init__(self):
-        windows = _readonly(self.windows)
-        targets = _readonly(self.targets)
-        origins = _readonly(self.origin_indices, dtype=np.int64)
-        ts = _readonly(self.target_timestamps)
+        windows = frozen_copy(self.windows)
+        targets = frozen_copy(self.targets)
+        origins = frozen_copy(self.origin_indices, dtype=np.int64)
+        ts = frozen_copy(self.target_timestamps)
         if windows.ndim != 2 or windows.shape[1] != self.window_length:
             raise ValidationError("windows must be (n, window_length)")
         n = windows.shape[0]
@@ -105,7 +100,6 @@ class SplitDataset:
 
     train: WindowedDataset
     test: WindowedDataset
-    ratio: float
 
     def __post_init__(self):
         if len(self.train) == 0 or len(self.test) == 0:
@@ -156,9 +150,13 @@ def remove_outliers(
     median exceeds k times the rolling median absolute deviation. In a
     locally constant neighborhood the MAD is zero and any deviating point
     is replaced; a point equal to its local median never is. The pass
-    repeats until no point trips the criterion, so the output is a
-    fixpoint of the filter; the returned indices are the points whose
-    final value differs from the input.
+    repeats until no point trips the criterion or the values return to a
+    state an earlier pass produced: every flagged point is replaced at
+    once from the last pass's medians, so the passes can cycle (with
+    period 2 at k 0.5). The output is that state, a fixpoint or a point
+    on the cycle, so filtering it again returns the same values and no
+    indices. The returned indices are the points whose final value
+    differs from the input.
     """
     if window < 3 or window % 2 == 0:
         raise ValueError("outlier window must be odd and >= 3")
@@ -169,19 +167,21 @@ def remove_outliers(
     series.require_finite("remove_outliers")
 
     values = series.values.copy()
-    changed_any = False
+    seen = {values.tobytes()}
     for _ in range(_OUTLIER_PASS_CAP):
         med, mad = _rolling_median_mad(values, window)
         replace = np.abs(values - med) > k * mad
         if not replace.any():
             break
         values[replace] = med[replace]
-        changed_any = True
+        if values.tobytes() in seen:
+            break
+        seen.add(values.tobytes())
     else:
         raise ValidationError(
             f"outlier filter did not reach a fixpoint in {_OUTLIER_PASS_CAP} passes"
         )
-    if not changed_any:
+    if len(seen) == 1:  # no pass changed a value
         return series, []
     replaced = np.flatnonzero(values != series.values)
     return series.with_values(values), [int(i) for i in replaced]
@@ -276,22 +276,20 @@ def make_windows(series: SnapshotSeries, window_length: int = DEFAULT_WINDOW_LEN
     )
 
 
-def split_train_test(ds: WindowedDataset, ratio: float = DEFAULT_SPLIT_RATIO) -> SplitDataset:
-    """First floor(ratio * n) windows train, the rest test. No shuffling."""
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("split ratio must be in (0, 1)")
+def split_train_test(ds: WindowedDataset) -> SplitDataset:
+    """First floor(SPLIT_RATIO * n) windows train, the rest test. No shuffling."""
     n = len(ds)
     if n == 0:
         raise EmptyDatasetError("cannot split an empty window dataset")
-    n_train = int(np.floor(ratio * n))
+    n_train = int(np.floor(SPLIT_RATIO * n))
     if n_train == 0 or n_train == n:
         raise InsufficientDataError(
-            f"splitting {n} windows at ratio {ratio} leaves an empty side"
+            f"splitting {n} windows at ratio {SPLIT_RATIO} leaves an empty side"
         )
-    return SplitDataset(ds.slice(0, n_train), ds.slice(n_train, n), ratio)
+    return SplitDataset(ds.slice(0, n_train), ds.slice(n_train, n))
 
 
-def train_slice_length(series_length: int, window_length: int, ratio: float) -> int:
+def train_slice_length(series_length: int, window_length: int) -> int:
     """Number of leading series points visible to the training windows.
 
     Fitting the scaler on exactly this prefix keeps the test range out of
@@ -300,14 +298,13 @@ def train_slice_length(series_length: int, window_length: int, ratio: float) -> 
     n_windows = series_length - window_length
     if n_windows < 2:
         raise InsufficientDataError("series too short to window and split")
-    n_train = int(np.floor(ratio * n_windows))
+    n_train = int(np.floor(SPLIT_RATIO * n_windows))
     return n_train + window_length
 
 
 def prepare_training_data(
     series: SnapshotSeries,
     window_length: int = DEFAULT_WINDOW_LENGTH,
-    ratio: float = DEFAULT_SPLIT_RATIO,
 ) -> tuple[SplitDataset, MinMaxScaler]:
     """Scale, window and split a clean series without test leakage.
 
@@ -316,10 +313,10 @@ def prepare_training_data(
     series before windowing.
     """
     series.require_finite("prepare_training_data")
-    prefix = train_slice_length(len(series), window_length, ratio)
+    prefix = train_slice_length(len(series), window_length)
     scaler = fit_minmax(series.slice(0, prefix))
     scaled, _ = apply_scaler(scaler, series.values, "forward")
-    split = split_train_test(make_windows(series.with_values(scaled), window_length), ratio)
+    split = split_train_test(make_windows(series.with_values(scaled), window_length))
     return split, scaler
 
 
@@ -327,30 +324,9 @@ def prepare_eval_data(
     series: SnapshotSeries,
     scaler: MinMaxScaler,
     window_length: int = DEFAULT_WINDOW_LENGTH,
-    ratio: float = DEFAULT_SPLIT_RATIO,
 ) -> SplitDataset:
     """Scale with an existing (model-baked) scaler, then window and split."""
     series.require_finite("prepare_eval_data")
     scaled, _ = apply_scaler(scaler, series.values, "forward")
-    return split_train_test(make_windows(series.with_values(scaled), window_length), ratio)
+    return split_train_test(make_windows(series.with_values(scaled), window_length))
 
-
-def write_windows_csv(ds: WindowedDataset, path) -> None:
-    """Serialize windows as ``w1,...,wW,target`` rows."""
-    header = ",".join(f"w{i + 1}" for i in range(ds.window_length)) + ",target"
-    lines = [header]
-    for row, target in zip(ds.windows, ds.targets):
-        lines.append(",".join(fmt_float(v) for v in row) + f",{fmt_float(target)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_indexed_series_csv(series: SnapshotSeries, path) -> None:
-    """Serialize a preprocessed series as ``index,value`` rows.
-
-    The position-indexed flavor; the timestamped canonical export lives in
-    the series module.
-    """
-    lines = ["index,value"]
-    for i, v in enumerate(series.values):
-        lines.append(f"{i},{fmt_float(v)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -20,8 +20,9 @@ def fmt_float(x) -> str:
     return repr(float(x))
 
 
-def _readonly_f64(a) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, copy=True)
+def frozen_copy(a, dtype=np.float64) -> np.ndarray:
+    """Read-only copy of ``a`` as ``dtype``; the caller's array stays writable."""
+    out = np.array(a, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
 
@@ -40,8 +41,8 @@ class SnapshotSeries:
     channel: int = 0
 
     def __post_init__(self):
-        ts = _readonly_f64(self.timestamps)
-        vals = _readonly_f64(self.values)
+        ts = frozen_copy(self.timestamps)
+        vals = frozen_copy(self.values)
         if ts.ndim != 1 or vals.ndim != 1:
             raise ValidationError("timestamps and values must be 1-D")
         if ts.size != vals.size:

@@ -8,7 +8,6 @@ Adam step per batch.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -129,11 +128,10 @@ class AdamState:
 
 @dataclass
 class TrainReport:
-    """Per-epoch curves plus run metadata."""
+    """Per-epoch curves plus the number of Adam steps taken."""
 
     train_loss: list[float] = field(default_factory=list)
     test_rmse: list[float] = field(default_factory=list)
-    wall_time_s: float = 0.0
     optimizer_steps: int = 0
 
     @property
@@ -198,7 +196,7 @@ def bptt_backward(m: ModelParams, cache: ForwardCache, dloss_dy) -> np.ndarray:
         dz = dy
 
     grads = np.zeros_like(m.theta)
-    grad_layers, grad_w_r = param_views(grads, m.input_dim, m.hidden_dims)
+    grad_layers, grad_w_r = param_views(grads, m.hidden_dims)
     grad_w_r += dz[None, :] @ cache.head_input
 
     n_layers = len(m.layers)
@@ -292,7 +290,6 @@ def train(split: SplitDataset, cfg: TrainConfig) -> tuple[ModelParams, TrainRepo
     t_train = split.train.targets
     n = len(split.train)
 
-    started = time.perf_counter()
     for epoch in range(cfg.epochs):
         loss_sum = 0.0
         for lo in range(0, n, cfg.batch_size):
@@ -300,7 +297,6 @@ def train(split: SplitDataset, cfg: TrainConfig) -> tuple[ModelParams, TrainRepo
             y, cache = forward_windows(params, x_train[lo:hi])
             batch_loss, dldy = compute_loss(y, t_train[lo:hi], cfg.loss_mode)
             if not np.isfinite(batch_loss):
-                report.wall_time_s = time.perf_counter() - started
                 raise TrainingDivergedError(
                     f"non-finite loss in epoch {epoch + 1}; "
                     f"last good epoch: {report.epochs_completed}",
@@ -313,7 +309,6 @@ def train(split: SplitDataset, cfg: TrainConfig) -> tuple[ModelParams, TrainRepo
             loss_sum += batch_loss * (hi - lo)
         report.train_loss.append(loss_sum / n)
         report.test_rmse.append(_test_rmse(params, split))
-    report.wall_time_s = time.perf_counter() - started
     report.optimizer_steps = state.t
     return params, report
 
@@ -348,8 +343,8 @@ def _probe_model(cfg: TrainConfig, seed: int) -> tuple[ModelParams, np.ndarray, 
             return rng.uniform(0.05, 0.2, size=shape)
         return 1.0 if label == "bf" else 0.1
 
-    theta = fill_param_vector(1, cfg.hidden_dims, positive)
-    params = ModelParams(theta, cfg.hidden_dims, input_dim=1, loss_mode=cfg.loss_mode)
+    theta = fill_param_vector(cfg.hidden_dims, positive)
+    params = ModelParams(theta, cfg.hidden_dims, loss_mode=cfg.loss_mode)
     windows = rng.uniform(0.5, 1.5, size=(4, cfg.window))
     targets = np.full(4, 0.02) if cfg.loss_mode == "bce" else np.full(4, -1.0)
     return params, windows, targets

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, reproducibility."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -408,6 +410,41 @@ class TestPredictCommand:
             assert captured.out == ""
             assert "non-finite" in captured.err
         assert run(["predict", "--model", str(model), "--window", "0.1,inf,0.3,0.4,0.5"]) == 2
+
+    def test_negative_first_window_value(self, capsys):
+        glued = run(["predict", "--model", str(PINNED_V1), "--window=-0.5,1,1,1"])
+        expected = capsys.readouterr()
+        assert glued == 0
+        assert run(["predict", "--model", str(PINNED_V1), "--window", "-0.5,1,1,1"]) == 0
+        assert capsys.readouterr() == expected
+
+    def test_input_size_two_fails_at_load(self, tmp_path, capsys):
+        from prognost import save_model
+        from test_model import zero_model
+
+        path = tmp_path / "wide.model"
+        save_model(zero_model((4,)), path)
+        path.write_text(path.read_text().replace("input 1 ", "input 2 ", 1))
+        assert run(["predict", "--model", str(path), "--window", "0.1,0.2,0.3"]) == 2
+        assert "unsupported input size 2" in capsys.readouterr().err
+
+
+class TestBenchmarkTracerTargets:
+    def test_every_target_resolves(self):
+        # the benchmark wraps these names; a missing one shows up only as
+        # trace.targets_missing, so catch a deletion or rename here
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+        )
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        importlib.import_module("prognost.cli")
+        missing = [
+            f"{module}.{attr}"
+            for module, attr, _, _ in tracing.TARGETS
+            if not callable(getattr(importlib.import_module(module), attr, None))
+        ]
+        assert missing == []
 
 
 class TestGradCheckCommand:

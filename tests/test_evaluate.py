@@ -160,7 +160,7 @@ class TestOneStepPredictions:
         np.testing.assert_allclose(original.predicted, scaled.predicted * 20.0 + 10.0, rtol=1e-15)
 
     def test_trace_for_split_tags_in_time_order(self):
-        split = split_train_test(sample_dataset(40), 0.7)
+        split = split_train_test(sample_dataset(40))
         params = init_params(TrainConfig(hidden_dims=(4,)), 3)
         trace = trace_for_split(params, split)
         n_train = len(split.train)

@@ -19,11 +19,16 @@ from prognost import (
     parse_ims_file,
     read_series_csv,
     scan_ims_directory,
-    serialize_snapshot_matrix,
     write_series_csv,
 )
 from prognost import ingest
 from prognost.ingest import IMS_EXPECTED_ROWS, SnapshotMatrix, load_ims_series
+from prognost.series import fmt_float
+
+
+def serialize_snapshot_matrix(matrix):
+    """Tab-separated text that parse_ims_file maps back to the same matrix."""
+    return "".join("\t".join(fmt_float(v) for v in row) + "\n" for row in matrix.samples)
 
 
 def parse_oracle(content, expected_channels):
@@ -127,17 +132,17 @@ def _touch(directory, *names):
 class TestScanImsDirectory:
     def test_ten_minute_interval_pair(self, tmp_path):
         _touch(tmp_path, "2003.10.22.12.06.24", "2003.10.22.12.16.24")
-        scan = scan_ims_directory(tmp_path, expected_channels=4)
+        scan = scan_ims_directory(tmp_path)
         assert len(scan.refs) == 2
         assert scan.refs[1].timestamp - scan.refs[0].timestamp == 600.0
 
     def test_empty_directory(self, tmp_path):
         with pytest.raises(EmptyDatasetError):
-            scan_ims_directory(tmp_path, expected_channels=4)
+            scan_ims_directory(tmp_path)
 
     def test_non_matching_names_reported_skipped(self, tmp_path):
         _touch(tmp_path, "README.txt", "2003.10.22.12.06.24")
-        scan = scan_ims_directory(tmp_path, expected_channels=4)
+        scan = scan_ims_directory(tmp_path)
         assert len(scan.refs) == 1
         assert scan.skipped == ("README.txt",)
 
@@ -149,7 +154,7 @@ class TestScanImsDirectory:
             "2003.11.01.00.00.00",
         ]
         _touch(tmp_path, *names)
-        scan = scan_ims_directory(tmp_path, expected_channels=4)
+        scan = scan_ims_directory(tmp_path)
         got = [r.path.name for r in scan.refs]
         assert got == sorted(names)
         ts = [r.timestamp for r in scan.refs]
@@ -159,11 +164,11 @@ class TestScanImsDirectory:
         # strptime accepts unpadded fields, so two names can encode one instant
         _touch(tmp_path, "2003.10.22.12.06.24", "2003.10.22.12.6.24")
         with pytest.raises(ValidationError, match="duplicate"):
-            scan_ims_directory(tmp_path, expected_channels=4)
+            scan_ims_directory(tmp_path)
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(OSError):
-            scan_ims_directory(tmp_path / "nope", expected_channels=4)
+            scan_ims_directory(tmp_path / "nope")
 
 
 class TestParseImsFile:
@@ -226,7 +231,7 @@ class TestParseImsFile:
         reason="set IMS_DATASET_DIR to a directory of IMS dataset-2 snapshot files",
     )
     def test_real_ims_dataset2_file(self):
-        scan = scan_ims_directory(os.environ["IMS_DATASET_DIR"], expected_channels=4)
+        scan = scan_ims_directory(os.environ["IMS_DATASET_DIR"])
         m = parse_ims_file(scan.refs[0].path.read_text(), expected_channels=4)
         assert (m.rows, m.channels) == (20480, 4)
 

@@ -41,7 +41,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def zero_model(dims=(3,), loss_mode="mse"):
-    return ModelParams(np.zeros(param_count(1, dims)), dims, 1, loss_mode)
+    return ModelParams(np.zeros(param_count(dims)), dims, loss_mode)
 
 
 def scalar_cell_oracle(p, x, h_prev, c_prev):
@@ -89,7 +89,7 @@ class TestInitParams:
         assert l1.b.shape == (4 * 128,)
         assert l2.W.shape == (4 * 64, 128)
         assert params.w_r.shape == (1, 64)
-        assert params.theta.shape == (param_count(1, (128, 64)),)
+        assert params.theta.shape == (param_count((128, 64)),)
         blocks = dict(params.blocks())
         assert blocks["layer1.Wi"].shape == (128, 1)
         assert blocks["layer1.Vi"].shape == (128, 128)
@@ -225,18 +225,18 @@ class TestSigmoid:
         assert np.array_equal(z, expected)
 
     def test_saturated_forward_raises_no_warning(self):
-        theta = np.zeros(param_count(1, (3,)))
+        theta = np.zeros(param_count((3,)))
         blocks = dict(zero_model((3,)).blocks(theta))
         # input, output and cell gates open, forget gate shut at -1000
         for label, bias in (("bi", 1e3), ("bf", -1e3), ("bo", 1e3), ("bc", 1e3)):
             blocks[f"layer1.{label}"][:] = bias
         blocks["Wr"][:] = -1e3
-        m = ModelParams(theta, (3,), 1, "bce")
+        m = ModelParams(theta, (3,), "bce")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             y, cache = forward_windows(m, np.ones((2, 4)))
         assert np.all(cache.steps[-1][0].gates[:, 3:6] == 0.0)
-        assert np.all(cache.y_raw < -709.0)
+        assert np.all(cache.head_input @ m.w_r.T < -709.0)
         assert np.all(y == BCE_CLIP)
 
 
@@ -331,13 +331,14 @@ class TestForwardWindow:
         params = init_params(TrainConfig(hidden_dims=(3,), loss_mode="bce"), 5)
         y, cache = forward_window(params, np.array([0.2, 0.4, 0.6]))
         assert 0 < y < 1
-        assert y == pytest.approx(1.0 / (1.0 + math.exp(-cache.y_raw[0])))
+        y_raw = float((cache.head_input @ params.w_r.T)[0, 0])
+        assert y == pytest.approx(1.0 / (1.0 + math.exp(-y_raw)))
 
     def test_invalid_chain_unconstructible(self):
         # the layer chain is implied by hidden_dims; a vector of any other
         # length cannot be viewed as that chain
-        n = param_count(1, (4, 2))
-        for size in (n - 1, n + 1, param_count(1, (4, 3))):
+        n = param_count((4, 2))
+        for size in (n - 1, n + 1, param_count((4, 3))):
             with pytest.raises(ValidationError):
                 ModelParams(np.zeros(size), (4, 2))
         theta = np.zeros(n)
@@ -486,6 +487,19 @@ class TestPersistence:
         path = tmp_path / "m.model"
         path.write_text(f"LSTMPROG v2\n{header}\nblock Wi 2 1\n")
         with pytest.raises(ModelCorruptionError, match="header"):
+            load_model(path)
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_input_size_other_than_one_is_corruption(self, tmp_path, version):
+        path = tmp_path / "m.model"
+        if version == "v1":
+            path.write_text((DATA / "v1_stack_3_2.model").read_text())
+        else:
+            save_model(self._model(), path)
+        text = path.read_text()
+        assert "\ninput 1 " in text
+        path.write_text(text.replace("\ninput 1 ", "\ninput 2 ", 1))
+        with pytest.raises(ModelCorruptionError, match="unsupported input size 2"):
             load_model(path)
 
     def test_v1_header_takes_no_window(self, tmp_path):

@@ -17,7 +17,6 @@ from prognost import (
     prepare_training_data,
     remove_outliers,
     split_train_test,
-    write_windows_csv,
 )
 from prognost.preprocess import MinMaxScaler
 
@@ -102,7 +101,7 @@ class TestRemoveOutliers:
     @given(
         st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=3, max_size=60),
         st.sampled_from([3, 5, 11]),
-        st.sampled_from([2.0, 5.0]),
+        st.sampled_from([0.5, 2.0, 5.0]),
     )
     def test_idempotent_on_own_output(self, values, window, k):
         once, _ = remove_outliers(series_of(values), window, k)
@@ -118,16 +117,41 @@ class TestRemoveOutliers:
             max_size=60,
         ).filter(lambda values: any(v == v for v in values)),
         st.sampled_from([3, 5, 11]),
-        st.sampled_from([2.0, 5.0]),
+        st.sampled_from([0.5, 2.0, 5.0]),
     )
     def test_fill_then_filter_idempotent(self, values, window, k):
-        # k 0.5 is left out: the filter can fall into a 2-cycle there
         def clean(series):
             return remove_outliers(fill_missing(series, max_gap=len(values)), window, k)[0]
 
         once = clean(series_of(values))
         twice = clean(once)
         assert np.array_equal(once.timestamps, twice.timestamps)
+        assert np.array_equal(once.values, twice.values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=3, max_size=40),
+        st.sampled_from([3, 5, 11]),
+        st.sampled_from([0.5, 1.0, 2.0, 5.0]),
+    )
+    def test_terminates(self, values, window, k):
+        # raises ValidationError when the passes neither settle nor repeat
+        remove_outliers(series_of(values), window, k)
+
+    def test_two_cycle_stops_at_a_repeated_state(self):
+        # replacing every flagged point at once, the passes alternate
+        # between two states from pass 2 on
+        values = [
+            -0.7022250882870917, 0.36264175096496803, 0.5392254680072791,
+            0.994038736651381, -1.3641582330203794, -0.8879222664367336,
+            -0.5677830083965161, 0.8032717330747181, 0.4276659578441077,
+            0.4418412999376196, -0.5489570113403408,
+        ]
+        once, replaced = remove_outliers(series_of(values), window=11, k=0.5)
+        assert replaced == [2, 3, 4, 5, 6, 7, 8, 9]
+        assert set(once.values) == {values[0], values[1], values[-1]}
+        twice, again = remove_outliers(once, window=11, k=0.5)
+        assert again == []
         assert np.array_equal(once.values, twice.values)
 
     def test_even_edge_window_reaches_fixpoint(self):
@@ -267,50 +291,30 @@ class TestMakeWindows:
             assert np.array_equal(ds.windows[i], values[i : i + 5])
             assert ds.targets[i] == values[i + 5]
 
-    def test_window_csv_export(self, tmp_path):
-        ds = make_windows(series_of([1, 2, 3, 4]), 2)
-        path = tmp_path / "w.csv"
-        write_windows_csv(ds, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "w1,w2,target"
-        assert lines[1] == "1.0,2.0,3.0"
-
-    def test_indexed_series_export(self, tmp_path):
-        from prognost.preprocess import write_indexed_series_csv
-
-        path = tmp_path / "s.csv"
-        write_indexed_series_csv(series_of([0.5, 0.25], timestamps=[100.0, 200.0]), path)
-        assert path.read_text() == "index,value\n0,0.5\n1,0.25\n"
 
 
 class TestSplit:
     def test_ten_windows_ratio_70(self):
         ds = make_windows(series_of(np.arange(15.0)), 5)
         assert len(ds) == 10
-        split = split_train_test(ds, 0.7)
+        split = split_train_test(ds)
         assert (len(split.train), len(split.test)) == (7, 3)
 
     def test_dataset2_arithmetic(self):
         # 984 snapshot files -> 979 windows -> 685 train / 294 test
         ds = make_windows(series_of(np.linspace(0, 1, 984)), 5)
         assert len(ds) == 979
-        split = split_train_test(ds, 0.7)
+        split = split_train_test(ds)
         assert (len(split.train), len(split.test)) == (685, 294)
 
     def test_single_window_empty_side(self):
         ds = make_windows(series_of(np.arange(6.0)), 5)
         with pytest.raises(InsufficientDataError):
-            split_train_test(ds, 0.7)
-
-    def test_ratio_bounds(self):
-        ds = make_windows(series_of(np.arange(15.0)), 5)
-        for ratio in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                split_train_test(ds, ratio)
+            split_train_test(ds)
 
     def test_chronological_order(self):
         ds = make_windows(series_of(np.arange(40.0)), 5)
-        split = split_train_test(ds, 0.7)
+        split = split_train_test(ds)
         assert split.train.origin_indices.max() < split.test.origin_indices.min()
 
 
@@ -319,7 +323,7 @@ class TestPrepareTrainingData:
         # global maximum sits in the test segment and must not leak
         values = np.concatenate([np.linspace(0.1, 0.2, 30), np.linspace(0.2, 9.0, 10)])
         series = series_of(values)
-        split, scaler = prepare_training_data(series, window_length=5, ratio=0.7)
+        split, scaler = prepare_training_data(series, window_length=5)
         n_train = len(split.train)
         prefix = values[: n_train + 5]
         assert scaler.max == prefix.max() < values.max()

@@ -29,10 +29,10 @@ from prognost.train import AdamState, TrainReport, write_report_csv
 from test_model import zero_model
 
 
-def tiny_split(n=40, window=5, ratio=0.7, seed=3):
+def tiny_split(n=40, window=5, seed=3):
     rng = np.random.Generator(np.random.PCG64(seed))
     series = SnapshotSeries(np.arange(float(n)), rng.uniform(0.1, 0.9, n))
-    return split_train_test(make_windows(series, window), ratio)
+    return split_train_test(make_windows(series, window))
 
 
 class TestTrainConfig:
@@ -319,7 +319,6 @@ class TestTrainLoop:
                 split.train.target_timestamps,
             ),
             split.test,
-            split.ratio,
         )
         cfg = TrainConfig(hidden_dims=(4,), epochs=5, seed=2)
         with pytest.raises(TrainingDivergedError) as err:
