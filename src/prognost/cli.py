@@ -18,7 +18,6 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -112,9 +111,8 @@ def build_parser() -> _Parser:
                        help="fit the stacked LSTM on a cleaned series")
     p.add_argument("--in", dest="infile", required=True, help="cleaned series CSV")
     p.add_argument("--config", default=None,
-                   help="key = value config file; defaults are the 128/64 stack, "
-                        "lr 0.001, batch 50, 100 epochs")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+                   help="key = value config file, the one source of the seed; defaults "
+                        "are the 128/64 stack, lr 0.001, batch 50, 100 epochs, seed 42")
     p.add_argument("--model-out", required=True, help="output model file")
     p.add_argument("--report-out", required=True, help="output epoch,train_loss,test_rmse CSV")
     p.set_defaults(func=_cmd_train)
@@ -199,8 +197,6 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = parse_config_file(args.config) if args.config else TrainConfig()
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     series = ingest.read_series_csv(args.infile)
     split, scaler = preprocess.prepare_training_data(series, cfg.window)
     params, report = fit_model(split, cfg)
@@ -230,11 +226,10 @@ def _cmd_evaluate(args) -> int:
     ev.write_trace_csv(trace, args.trace_out)
 
     stem = Path(args.infile).stem
-    tags = np.array(trace.split)
+    n_train = len(split.train)
     rows = []
-    for tag in ("train", "test"):
-        mask = tags == tag
-        metrics = ev.compute_metrics(trace.actual[mask], trace.predicted[mask], args.space)
+    for tag, part in (("train", slice(None, n_train)), ("test", slice(n_train, None))):
+        metrics = ev.compute_metrics(trace.actual[part], trace.predicted[part], args.space)
         rows.append((f"{stem}/{tag}", metrics))
     ev.write_metrics_csv(rows, args.metrics_out)
     test_report = rows[-1][1]

@@ -15,7 +15,7 @@ def make_sine_series(n: int) -> SnapshotSeries:
     if n < 2:
         raise ValueError("fixture needs at least 2 points")
     idx = np.arange(n, dtype=np.float64)
-    return SnapshotSeries(idx, np.sin(2.0 * np.pi * idx / SINE_PERIOD), source_label="sine")
+    return SnapshotSeries(idx, np.sin(2.0 * np.pi * idx / SINE_PERIOD))
 
 
 def make_degradation_series(n: int) -> SnapshotSeries:
@@ -31,7 +31,7 @@ def make_degradation_series(n: int) -> SnapshotSeries:
     values = trend + noise
     spike_at = rng.choice(np.arange(5, n - 5), size=max(1, n // 80), replace=False)
     values[spike_at] += rng.uniform(0.3, 0.6, size=spike_at.size)
-    return SnapshotSeries(idx, values, source_label="degradation")
+    return SnapshotSeries(idx, values)
 
 
 def make_fixture_series(kind: str, n: int) -> SnapshotSeries:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyDatasetError, ParseError, ValidationError
+from .errors import ConfigError, EmptyDatasetError, ParseError, ValidationError
 from .series import SnapshotSeries, frozen_copy
 
 IMS_FILENAME_FORMAT = "%Y.%m.%d.%H.%M.%S"
@@ -119,7 +119,7 @@ def parse_ims_file(content: str, expected_channels: int) -> SnapshotMatrix:
     files.
     """
     if expected_channels < 1:
-        raise ValidationError("expected_channels must be >= 1")
+        raise ConfigError("expected_channels must be >= 1")
     samples = None
     # an empty body would make loadtxt warn "input contained no data"
     if content and not content.isspace():
@@ -220,6 +220,8 @@ def load_csv_series(
     parsing). Empty value cells import as NaN so fill_missing can repair
     them. Without a timestamp column, indices 0,1,2,... are synthesized.
     """
+    if min(value_column, timestamp_column or 0) < 0:
+        raise ConfigError(f"column indices must be >= 0, got {value_column} and {timestamp_column}")
     path = Path(path)
     raw_lines = path.read_text(encoding="utf-8").splitlines()
     lines = [(i + 1, ln) for i, ln in enumerate(raw_lines) if ln.strip() != ""]
@@ -266,7 +268,7 @@ def load_csv_series(
             raise ValidationError(
                 f"timestamps not strictly increasing at data row {bad + 2}"
             )
-    return SnapshotSeries(ts, values, source_label=path.name, channel=value_column)
+    return SnapshotSeries(ts, values)
 
 
 def read_series_csv(path) -> SnapshotSeries:
@@ -286,6 +288,8 @@ def load_ims_series(
     truncated snapshot), keyed by file name, in timestamp order. A file
     that cannot be read or parsed raises with its name before the message.
     """
+    if channel < 0:
+        raise ConfigError(f"channel must be >= 0, got {channel}")
     scan = scan_ims_directory(directory)
     values = []
     warnings = {}
@@ -300,10 +304,5 @@ def load_ims_series(
         if matrix.warnings:
             warnings[ref.path.name] = matrix.warnings
 
-    series = SnapshotSeries(
-        np.array([r.timestamp for r in scan.refs]),
-        np.array(values),
-        source_label=Path(directory).name,
-        channel=channel,
-    )
+    series = SnapshotSeries(np.array([r.timestamp for r in scan.refs]), np.array(values))
     return series, scan, warnings

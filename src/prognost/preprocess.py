@@ -16,6 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    ConfigError,
     ConstantSeriesError,
     EmptyDatasetError,
     GapTooLargeError,
@@ -62,7 +63,6 @@ class WindowedDataset:
 
     windows: np.ndarray
     targets: np.ndarray
-    window_length: int
     origin_indices: np.ndarray
     target_timestamps: np.ndarray
 
@@ -71,8 +71,8 @@ class WindowedDataset:
         targets = frozen_copy(self.targets)
         origins = frozen_copy(self.origin_indices, dtype=np.int64)
         ts = frozen_copy(self.target_timestamps)
-        if windows.ndim != 2 or windows.shape[1] != self.window_length:
-            raise ValidationError("windows must be (n, window_length)")
+        if windows.ndim != 2 or windows.shape[1] < 1:
+            raise ValidationError("windows must be (n, window_length >= 1)")
         n = windows.shape[0]
         if not (targets.shape == origins.shape == ts.shape == (n,)):
             raise ValidationError("targets, origin_indices and timestamps must align")
@@ -84,11 +84,14 @@ class WindowedDataset:
     def __len__(self) -> int:
         return int(self.targets.size)
 
+    @property
+    def window_length(self) -> int:
+        return int(self.windows.shape[1])
+
     def slice(self, start: int, stop: int) -> "WindowedDataset":
         return WindowedDataset(
             self.windows[start:stop],
             self.targets[start:stop],
-            self.window_length,
             self.origin_indices[start:stop],
             self.target_timestamps[start:stop],
         )
@@ -159,9 +162,9 @@ def remove_outliers(
     differs from the input.
     """
     if window < 3 or window % 2 == 0:
-        raise ValueError("outlier window must be odd and >= 3")
+        raise ConfigError("outlier window must be odd and >= 3")
     if not k > 0:
-        raise ValueError("outlier threshold k must be > 0")
+        raise ConfigError("outlier threshold k must be > 0")
     if len(series) < 3:
         return series, []
     series.require_finite("remove_outliers")
@@ -196,7 +199,7 @@ def fill_missing(series: SnapshotSeries, max_gap: int = DEFAULT_MAX_GAP) -> Snap
     dropped (there is no second neighbor to interpolate against).
     """
     if max_gap < 1:
-        raise ValueError("max_gap must be >= 1")
+        raise ConfigError("max_gap must be >= 1")
     finite = np.isfinite(series.values)
     if finite.all():
         return series
@@ -223,7 +226,7 @@ def fill_missing(series: SnapshotSeries, max_gap: int = DEFAULT_MAX_GAP) -> Snap
                 )
         vals = vals.copy()
         vals[missing] = np.interp(ts[missing], ts[finite], vals[finite])
-    return SnapshotSeries(ts, vals, series.source_label, series.channel)
+    return SnapshotSeries(ts, vals)
 
 
 def fit_minmax(series: SnapshotSeries) -> MinMaxScaler:
@@ -259,7 +262,7 @@ def apply_scaler(
 def make_windows(series: SnapshotSeries, window_length: int = DEFAULT_WINDOW_LENGTH) -> WindowedDataset:
     """Stride-1 windows of length W, each predicting the value after it."""
     if window_length < 1:
-        raise ValueError("window_length must be >= 1")
+        raise ConfigError("window_length must be >= 1")
     n = len(series)
     if n <= window_length:
         raise InsufficientDataError(
@@ -270,10 +273,20 @@ def make_windows(series: SnapshotSeries, window_length: int = DEFAULT_WINDOW_LEN
     return WindowedDataset(
         windows=windows,
         targets=series.values[window_length:],
-        window_length=window_length,
         origin_indices=np.arange(window_length, n),
         target_timestamps=series.timestamps[window_length:],
     )
+
+
+def _train_count(n_windows: int) -> int:
+    """How many leading windows train: floor(SPLIT_RATIO * n_windows),
+    provided both sides of the split keep at least one window."""
+    n_train = int(np.floor(SPLIT_RATIO * n_windows))
+    if not 0 < n_train < n_windows:
+        raise InsufficientDataError(
+            f"splitting {max(n_windows, 0)} windows at ratio {SPLIT_RATIO} leaves an empty side"
+        )
+    return n_train
 
 
 def split_train_test(ds: WindowedDataset) -> SplitDataset:
@@ -281,25 +294,14 @@ def split_train_test(ds: WindowedDataset) -> SplitDataset:
     n = len(ds)
     if n == 0:
         raise EmptyDatasetError("cannot split an empty window dataset")
-    n_train = int(np.floor(SPLIT_RATIO * n))
-    if n_train == 0 or n_train == n:
-        raise InsufficientDataError(
-            f"splitting {n} windows at ratio {SPLIT_RATIO} leaves an empty side"
-        )
+    n_train = _train_count(n)
     return SplitDataset(ds.slice(0, n_train), ds.slice(n_train, n))
 
 
-def train_slice_length(series_length: int, window_length: int) -> int:
-    """Number of leading series points visible to the training windows.
-
-    Fitting the scaler on exactly this prefix keeps the test range out of
-    the normalization.
-    """
-    n_windows = series_length - window_length
-    if n_windows < 2:
-        raise InsufficientDataError("series too short to window and split")
-    n_train = int(np.floor(SPLIT_RATIO * n_windows))
-    return n_train + window_length
+def _scaled_split(series: SnapshotSeries, scaler: MinMaxScaler, window_length: int) -> SplitDataset:
+    """Scale, window and split: the one path that train and evaluate share."""
+    scaled, _ = apply_scaler(scaler, series.values, "forward")
+    return split_train_test(make_windows(series.with_values(scaled), window_length))
 
 
 def prepare_training_data(
@@ -313,11 +315,9 @@ def prepare_training_data(
     series before windowing.
     """
     series.require_finite("prepare_training_data")
-    prefix = train_slice_length(len(series), window_length)
+    prefix = _train_count(len(series) - window_length) + window_length
     scaler = fit_minmax(series.slice(0, prefix))
-    scaled, _ = apply_scaler(scaler, series.values, "forward")
-    split = split_train_test(make_windows(series.with_values(scaled), window_length))
-    return split, scaler
+    return _scaled_split(series, scaler, window_length), scaler
 
 
 def prepare_eval_data(
@@ -327,6 +327,4 @@ def prepare_eval_data(
 ) -> SplitDataset:
     """Scale with an existing (model-baked) scaler, then window and split."""
     series.require_finite("prepare_eval_data")
-    scaled, _ = apply_scaler(scaler, series.values, "forward")
-    return split_train_test(make_windows(series.with_values(scaled), window_length))
-
+    return _scaled_split(series, scaler, window_length)

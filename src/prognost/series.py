@@ -37,8 +37,6 @@ class SnapshotSeries:
 
     timestamps: np.ndarray
     values: np.ndarray
-    source_label: str = ""
-    channel: int = 0
 
     def __post_init__(self):
         ts = frozen_copy(self.timestamps)
@@ -70,16 +68,11 @@ class SnapshotSeries:
             )
 
     def with_values(self, values) -> "SnapshotSeries":
-        """Same axis and metadata, new values."""
-        return SnapshotSeries(self.timestamps, values, self.source_label, self.channel)
+        """Same axis, new values."""
+        return SnapshotSeries(self.timestamps, values)
 
     def slice(self, start: int, stop: int) -> "SnapshotSeries":
-        return SnapshotSeries(
-            self.timestamps[start:stop],
-            self.values[start:stop],
-            self.source_label,
-            self.channel,
-        )
+        return SnapshotSeries(self.timestamps[start:stop], self.values[start:stop])
 
 
 def write_series_csv(series: SnapshotSeries, path) -> None:

@@ -32,6 +32,11 @@ from .model import (
 from .preprocess import SplitDataset
 from .series import fmt_float
 
+# Adam's decay rates and denominator guard: the Kingma & Ba 2015 defaults.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -48,17 +53,14 @@ class TrainConfig:
     window: int = 5
     loss_mode: str = "mse"
     seed: int = 42
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     max_grad_norm: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
         if not self.hidden_dims or any(d < 1 for d in self.hidden_dims):
             raise ConfigError(f"hidden_dims must all be positive, got {self.hidden_dims}")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and > 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 1:
@@ -67,10 +69,6 @@ class TrainConfig:
             raise ConfigError("window must be >= 1")
         if self.loss_mode not in ("mse", "bce"):
             raise ConfigError(f"loss_mode must be 'mse' or 'bce', got {self.loss_mode!r}")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ConfigError("Adam betas must lie strictly between 0 and 1")
-        if not self.epsilon > 0:
-            raise ConfigError("Adam epsilon must be > 0")
         if self.max_grad_norm is not None and not self.max_grad_norm > 0:
             raise ConfigError("max_grad_norm must be > 0 when set")
 
@@ -83,9 +81,6 @@ _CONFIG_PARSERS = {
     "window": int,
     "loss_mode": str,
     "seed": int,
-    "beta1": float,
-    "beta2": float,
-    "epsilon": float,
     "max_grad_norm": lambda s: None if s.lower() == "none" else float(s),
 }
 
@@ -250,11 +245,11 @@ def adam_step(
         block = m.block_at(int(np.argmax(bad)))
         raise GradientError(f"non-finite gradient in block {block}; training aborted")
     t = s.t + 1
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
-    m_new = cfg.beta1 * s.m + (1.0 - cfg.beta1) * g
-    v_new = cfg.beta2 * s.v + (1.0 - cfg.beta2) * (g * g)
-    theta = m.theta - cfg.learning_rate * (m_new / bc1) / (np.sqrt(v_new / bc2) + cfg.epsilon)
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    m_new = ADAM_BETA1 * s.m + (1.0 - ADAM_BETA1) * g
+    v_new = ADAM_BETA2 * s.v + (1.0 - ADAM_BETA2) * (g * g)
+    theta = m.theta - cfg.learning_rate * (m_new / bc1) / (np.sqrt(v_new / bc2) + ADAM_EPSILON)
     return m.with_theta(theta), AdamState(m_new, v_new, t)
 
 
@@ -290,25 +285,27 @@ def train(split: SplitDataset, cfg: TrainConfig) -> tuple[ModelParams, TrainRepo
     t_train = split.train.targets
     n = len(split.train)
 
-    for epoch in range(cfg.epochs):
-        loss_sum = 0.0
-        for lo in range(0, n, cfg.batch_size):
-            hi = min(lo + cfg.batch_size, n)
-            y, cache = forward_windows(params, x_train[lo:hi])
-            batch_loss, dldy = compute_loss(y, t_train[lo:hi], cfg.loss_mode)
-            if not np.isfinite(batch_loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss in epoch {epoch + 1}; "
-                    f"last good epoch: {report.epochs_completed}",
-                    report=report,
-                )
-            grads = bptt_backward(params, cache, dldy)
-            if cfg.max_grad_norm is not None:
-                grads = _clip_gradients(grads, cfg.max_grad_norm)
-            params, state = adam_step(params, grads, state, cfg)
-            loss_sum += batch_loss * (hi - lo)
-        report.train_loss.append(loss_sum / n)
-        report.test_rmse.append(_test_rmse(params, split))
+    # Divergence surfaces as TrainingDivergedError below, not as numpy warnings.
+    with np.errstate(all="ignore"):
+        for epoch in range(cfg.epochs):
+            loss_sum = 0.0
+            for lo in range(0, n, cfg.batch_size):
+                hi = min(lo + cfg.batch_size, n)
+                y, cache = forward_windows(params, x_train[lo:hi])
+                batch_loss, dldy = compute_loss(y, t_train[lo:hi], cfg.loss_mode)
+                if not np.isfinite(batch_loss):
+                    raise TrainingDivergedError(
+                        f"non-finite loss in epoch {epoch + 1}; "
+                        f"last good epoch: {report.epochs_completed}",
+                        report=report,
+                    )
+                grads = bptt_backward(params, cache, dldy)
+                if cfg.max_grad_norm is not None:
+                    grads = _clip_gradients(grads, cfg.max_grad_norm)
+                params, state = adam_step(params, grads, state, cfg)
+                loss_sum += batch_loss * (hi - lo)
+            report.train_loss.append(loss_sum / n)
+            report.test_rmse.append(_test_rmse(params, split))
     report.optimizer_steps = state.t
     return params, report
 
@@ -357,8 +354,8 @@ def grad_check(cfg: TrainConfig, seed: int = 7, eps: float = 1e-6) -> list[Block
     block reports its worst offender. The probe model and data are drawn
     deterministically from ``seed``.
     """
-    if not eps > 0:
-        raise ConfigError("grad_check epsilon must be > 0")
+    if not 0 < eps < np.inf:
+        raise ConfigError("grad_check epsilon must be finite and > 0")
     params, windows, targets = _probe_model(cfg, seed)
 
     y, cache = forward_windows(params, windows)

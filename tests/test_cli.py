@@ -5,9 +5,11 @@ import importlib.util
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from prognost.cli import build_parser, run
 from prognost.ingest import IMS_EXPECTED_ROWS, read_series_csv
@@ -226,15 +228,18 @@ class TestTrainCommand:
             out[tag] = (model.read_bytes(), report.read_bytes())
         assert out["one"] == out["two"]
 
-    def test_seed_flag_overrides_config(self, tmp_path):
+    def test_seed_comes_from_the_config_only(self, tmp_path):
         clean = make_clean_series(tmp_path)
-        cfg = write_config(tmp_path, seed=9)
-        m1, m2 = tmp_path / "a.model", tmp_path / "b.model"
-        run(["train", "--in", str(clean), "--config", str(cfg), "--seed", "10",
-             "--model-out", str(m1), "--report-out", str(tmp_path / "a.csv")])
-        run(["train", "--in", str(clean), "--config", str(cfg),
-             "--model-out", str(m2), "--report-out", str(tmp_path / "b.csv")])
-        assert m1.read_bytes() != m2.read_bytes()
+        models = []
+        for seed in (9, 10):
+            cfg = write_config(tmp_path, seed=seed)
+            models.append(tmp_path / f"{seed}.model")
+            assert run(["train", "--in", str(clean), "--config", str(cfg),
+                        "--model-out", str(models[-1]),
+                        "--report-out", str(tmp_path / "r.csv")]) == 0
+        assert models[0].read_bytes() != models[1].read_bytes()
+        assert run(["train", "--in", str(clean), "--config", str(cfg), "--seed", "10",
+                    "--model-out", str(tmp_path / "m"), "--report-out", str(tmp_path / "r")]) == 1
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert run(["train", "--in", str(tmp_path / "nope.csv"),
@@ -246,6 +251,58 @@ class TestTrainCommand:
         cfg.write_text("epochs = 0\n")
         assert run(["train", "--in", str(clean), "--config", str(cfg),
                     "--model-out", str(tmp_path / "m"), "--report-out", str(tmp_path / "r")]) == 1
+
+    @pytest.mark.parametrize("key", ["beta1", "beta2", "epsilon"])
+    def test_adam_constant_in_config_is_unknown_key(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, **{key: 0.5})
+        assert run(["train", "--in", str(tmp_path / "clean.csv"), "--config", str(cfg),
+                    "--model-out", str(tmp_path / "m"), "--report-out", str(tmp_path / "r")]) == 1
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+
+    def test_divergence_prints_only_the_numeric_failure(self, tmp_path, capsys):
+        clean = make_clean_series(tmp_path)
+        cfg = write_config(tmp_path, learning_rate="1e300")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["train", "--in", str(clean), "--config", str(cfg),
+                        "--model-out", str(tmp_path / "m"), "--report-out", str(tmp_path / "r")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure: non-finite loss")
+
+
+FLAG_MISUSE = {
+    "evaluate-window-0": ["evaluate", "--model", str(PINNED_V1), "--in", "{clean}",
+                          "--metrics-out", "{out}", "--trace-out", "{out}2", "--window", "0"],
+    "outlier-window-4": ["preprocess", "--in", "{raw}", "--out", "{out}", "--outlier-window", "4"],
+    "outlier-window-1": ["preprocess", "--in", "{raw}", "--out", "{out}", "--outlier-window", "1"],
+    "outlier-k-0": ["preprocess", "--in", "{raw}", "--out", "{out}", "--outlier-k", "0"],
+    "outlier-k-nan": ["preprocess", "--in", "{raw}", "--out", "{out}", "--outlier-k", "nan"],
+    "max-gap-0": ["preprocess", "--in", "{raw}", "--out", "{out}", "--max-gap", "0"],
+    "learning-rate-inf": ["train", "--in", "{clean}", "--model-out", "{out}",
+                          "--report-out", "{out}2", "--config", "{inf_cfg}"],
+    "value-col-negative": ["ingest", "--csv", "{raw}", "--out", "{out}", "--value-col", "-2"],
+    "ts-col-negative": ["ingest", "--csv", "{raw}", "--out", "{out}", "--ts-col", "-1"],
+    "channel-negative": ["ingest", "--ims-dir", "{ims}", "--channels", "2", "--out", "{out}",
+                         "--channel", "-1"],
+    "channels-0": ["ingest", "--ims-dir", "{ims}", "--out", "{out}", "--channels", "0"],
+    "grad-check-eps-inf": ["grad-check", "--dims", "2", "--eps", "inf"],
+}
+
+
+@pytest.mark.parametrize("argv", FLAG_MISUSE.values(), ids=FLAG_MISUSE.keys())
+def test_flag_misuse_is_usage_error(tmp_path, capsys, argv):
+    clean = make_clean_series(tmp_path)
+    ims = tmp_path / "ims"
+    ims.mkdir()
+    (ims / "2004.02.12.10.32.39").write_text("0.1\t0.2\n0.3\t0.4\n")
+    paths = {"clean": clean, "raw": tmp_path / "raw.csv", "ims": ims, "out": tmp_path / "out",
+             "inf_cfg": write_config(tmp_path, learning_rate="inf")}
+    capsys.readouterr()
+    assert run([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "out").exists()
 
 
 class TestEvaluateCommand:

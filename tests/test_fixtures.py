@@ -29,8 +29,10 @@ def test_degradation_deterministic_and_shaped():
 
 
 def test_kind_dispatch():
-    assert make_fixture_series("sine", 64).source_label == "sine"
-    assert make_fixture_series("degradation", 64).source_label == "degradation"
+    assert np.array_equal(make_fixture_series("sine", 64).values, make_sine_series(64).values)
+    assert np.array_equal(
+        make_fixture_series("degradation", 64).values, make_degradation_series(64).values
+    )
     with pytest.raises(ValueError):
         make_fixture_series("square", 64)
 

@@ -364,7 +364,7 @@ class TestLoadCsvSeries:
 
     def test_canonical_round_trip(self, tmp_path):
         rng = np.random.Generator(np.random.PCG64(5))
-        series = SnapshotSeries(np.arange(40.0), rng.normal(0.1, 0.03, 40), "probe", 0)
+        series = SnapshotSeries(np.arange(40.0), rng.normal(0.1, 0.03, 40))
         path = tmp_path / "series.csv"
         write_series_csv(series, path)
         back = read_series_csv(path)

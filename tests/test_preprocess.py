@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prognost import (
+    ConfigError,
     ConstantSeriesError,
     GapTooLargeError,
     InsufficientDataError,
@@ -14,6 +15,7 @@ from prognost import (
     fill_missing,
     fit_minmax,
     make_windows,
+    prepare_eval_data,
     prepare_training_data,
     remove_outliers,
     split_train_test,
@@ -73,12 +75,18 @@ class TestRemoveOutliers:
 
     def test_parameter_validation(self):
         s = series_of([1, 2, 3, 4])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             remove_outliers(s, window=4, k=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             remove_outliers(s, window=1, k=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             remove_outliers(s, window=5, k=0)
+        with pytest.raises(ConfigError):
+            remove_outliers(s, window=5, k=float("nan"))
+        with pytest.raises(ConfigError):
+            fill_missing(s, max_gap=0)
+        with pytest.raises(ConfigError):
+            make_windows(s, 0)
 
     def test_first_pass_matches_pointwise_oracle(self):
         rng = np.random.Generator(np.random.PCG64(21))
@@ -161,11 +169,10 @@ class TestRemoveOutliers:
         np.testing.assert_array_equal(once.values, [0.0, 0.0, 0.0, 0.0])
         assert remove_outliers(once, window=5, k=2)[1] == []
 
-    def test_timestamps_and_metadata_preserved(self):
-        s = SnapshotSeries([0.0, 10.0, 20.0, 30.0, 40.0], [1, 1, 9, 1, 1], "lbl", 2)
+    def test_timestamps_preserved(self):
+        s = SnapshotSeries([0.0, 10.0, 20.0, 30.0, 40.0], [1, 1, 9, 1, 1])
         cleaned, _ = remove_outliers(s, window=3, k=2)
         assert np.array_equal(cleaned.timestamps, s.timestamps)
-        assert cleaned.source_label == "lbl" and cleaned.channel == 2
 
 
 class TestFillMissing:
@@ -334,3 +341,26 @@ class TestPrepareTrainingData:
         split, scaler = prepare_training_data(series, 5)
         assert len(split.train) + len(split.test) == 45
         assert split.train.windows.max() <= 1.0 + 1e-12
+
+    def test_too_short_series(self):
+        for n in (3, 5, 6):  # shorter than, equal to and one past the window
+            with pytest.raises(InsufficientDataError):
+                prepare_training_data(series_of(np.arange(float(n))), 5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        # the first two points keep the scaler's training prefix from being flat
+        st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=8, max_size=80).filter(
+            lambda values: abs(values[0] - values[1]) >= 1e-3
+        ),
+        st.sampled_from([1, 2, 5]),
+    )
+    def test_eval_split_equals_training_split(self, values, window):
+        series = series_of(values)
+        train_split, scaler = prepare_training_data(series, window)
+        eval_split = prepare_eval_data(series, scaler, window)
+        for a, b in ((train_split.train, eval_split.train), (train_split.test, eval_split.test)):
+            assert np.array_equal(a.windows, b.windows)
+            assert np.array_equal(a.targets, b.targets)
+            assert np.array_equal(a.origin_indices, b.origin_indices)
+            assert np.array_equal(a.target_timestamps, b.target_timestamps)
