@@ -1,5 +1,17 @@
 """LSTM-based bearing vibration prognostics: ingestion, preprocessing,
-from-scratch stacked-LSTM training, and forecast evaluation."""
+from-scratch stacked-LSTM training, and forecast evaluation.
+
+A process that imports prognost before numpy runs OpenBLAS on one thread
+unless OPENBLAS_NUM_THREADS says otherwise: the model's products are too
+small for BLAS threads to pay, and predict_windows spreads rows over the
+cores instead.
+"""
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import (
     ConfigError,

@@ -23,7 +23,10 @@ Gradients and optimizer moments are vectors of the same layout.
 from __future__ import annotations
 
 import binascii
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -48,12 +51,22 @@ LOSS_MODES = ("mse", "bce")
 # Head clipping bounds for cross-entropy mode.
 BCE_CLIP = 1e-7
 
-# Most rows predict_windows forwards at once. A part's gate array is then
-# rows x 4d floats, 1 MiB at d=128, small enough to stay in L2 cache across
-# the elementwise passes of a step. On 10,000 windows of the 128/64 stack
-# (2-core Xeon, OpenBLAS 0.3.31) parts of 2048/512/256/128 rows took
-# 805/723/689/723 ms, the median of three runs of seven calls.
+# Rows predict_windows keeps in its arrays at once, over all its workers:
+# each of W workers forwards parts of PREDICT_ROWS / W rows. A part's gate
+# array is rows x 4d floats, 1 MiB for 256 rows at d=128, small enough to
+# stay in L2 cache across the elementwise passes of a step. On 10,000
+# windows of the 128/64 stack (2-core Xeon, OpenBLAS 0.3.31) one worker on
+# parts of 2048/512/256/128 rows took 805/723/689/723 ms, the median of
+# three runs of seven calls; with one BLAS thread, two workers on 128-row
+# parts take about 430 ms.
 PREDICT_ROWS = 256
+
+# Ufunc buffer size, in values, of predict_windows' steps. numpy 2 copies a
+# strided operand (a gate slice, the broadcast bias) through a buffer of
+# np.getbufsize() = 8,192 values, 64 KiB per operand and call. With 64-value
+# buffers a pass allocates 1-1.6 KB, and the 10,000-window call above took
+# 400 ms instead of 450 ms (median of 15, two workers).
+PREDICT_BUFSIZE = 64
 
 
 @dataclass(frozen=True)
@@ -278,8 +291,13 @@ def lstm_cell_forward(
     gates, rec, h, c, tanh_c = (None,) * 5 if fresh else out
     # One pre-activation array, turned into the gate activations in place.
     # A None ``out`` makes numpy allocate the result; either way every value
-    # is rounded in the same order, so both uses agree bit for bit.
-    gates = np.matmul(x, p.W.T, out=gates)
+    # is rounded in the same order, so both uses agree bit for bit. With one
+    # input (layer 1) x W^T is an outer product: a plain multiply gives the
+    # GEMM's bits in less time (35-45 us against 49-92 us at 50 rows, d=128).
+    if k == 1:
+        gates = np.multiply(x, p.W[:, 0], out=gates)
+    else:
+        gates = np.matmul(x, p.W.T, out=gates)
     gates += np.matmul(h_prev, p.V.T, out=rec)
     gates += p.b
     sigmoid(gates[..., : 3 * d], out=gates[..., : 3 * d])
@@ -347,40 +365,98 @@ def forward_window(m: ModelParams, window) -> tuple[float, ForwardCache]:
     return float(y[0]), cache
 
 
-def predict_windows(m: ModelParams, windows: np.ndarray) -> np.ndarray:
-    """Batch predictions without caches, at most PREDICT_ROWS rows per pass.
+def _predict_workers() -> int:
+    """Threads predict_windows may use: one per usable core when OpenBLAS
+    runs on one thread, else one, since BLAS threads then share the cores."""
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Larger batches are cut into near-equal parts of a multiple of 8 rows,
-    so no part is small and only the last ends in a ragged tail of rows,
-    which BLAS kernels treat apart. Each layer's arrays are allocated once
-    per call, sized for one part, and every step writes into them; the
-    steps round as forward_windows does, so a single window predicts the
-    same bits on both paths. On 10,000 windows of the 128/64 stack (2-core
-    Xeon, OpenBLAS 0.3.31) a call then takes about 1,460 minor page faults
-    and a traced peak of 4.5 MB, against 31,275 faults and 22.6 MB when
-    every step of 2048-row parts allocated fresh arrays.
+
+def _predict_parts(m: ModelParams, windows: np.ndarray, y: np.ndarray, parts: int,
+                   share: range, buffers: list, failures: list) -> None:
+    """Forward parts ``share`` of ``windows``, cut into ``parts`` parts, into ``y``.
+
+    Part j starts at row 8 * (ceil(n / 8) * j // parts): near-equal parts
+    of a multiple of 8 rows, so no part is small and only the last ends in
+    a ragged tail of rows, which BLAS kernels treat apart. ``buffers`` holds
+    each layer's (gates, rec, h, c, tanh_c) arrays, sized for the largest
+    part; every step writes into them with PREDICT_BUFSIZE ufunc buffers. An
+    exception is appended to ``failures``, for the calling thread to raise.
+    """
+    n, w = windows.shape
+    blocks = math.ceil(n / 8)
+    bufsize = np.setbufsize(PREDICT_BUFSIZE)
+    try:
+        for j in share:
+            lo, hi = (min(n, 8 * (blocks * i // parts)) for i in (j, j + 1))
+            part = windows[lo:hi]
+            # A full-size part writes into the arrays themselves, so that a
+            # worker allocates no views for it while the others run.
+            outs = buffers
+            if hi - lo < len(buffers[0][0]):
+                outs = [[a[: hi - lo] for a in layer_buffers] for layer_buffers in buffers]
+            for _, _, h, c, _ in outs:
+                h.fill(0.0)
+                c.fill(0.0)
+            for t in range(w):
+                x = part[:, t : t + 1]
+                for layer, out in zip(m.layers, outs):
+                    x, _, _ = lstm_cell_forward(layer, x, out[2], out[3], out)
+            y[lo:hi] = _head(m, x)[0]
+    except BaseException as exc:
+        failures.append(exc)
+    finally:
+        np.setbufsize(bufsize)
+
+
+def predict_windows(m: ModelParams, windows: np.ndarray) -> np.ndarray:
+    """Batch predictions without caches, PREDICT_ROWS rows in flight at most.
+
+    Rows are independent, so when OpenBLAS runs on one thread the parts are
+    shared out over one worker per core: the calling thread works the first
+    share and helper threads, run in copies of the caller's context (its
+    np.errstate), the others. Every worker's arrays, sized for one part of
+    PREDICT_ROWS / workers rows, are allocated before the helpers start, and
+    each worker writes only its own rows of the result. The steps round as
+    forward_windows does, so a single window predicts the same bits on both
+    paths, and the result does not depend on the number of workers. On
+    10,000 windows of the 128/64 stack (2-core Xeon, OpenBLAS 0.3.31, one
+    thread) a call took about 700 ms on one worker and 430 ms on two.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 2:
         raise ValueError("windows must be a (batch, W) matrix")
-    n, w = windows.shape
+    n = windows.shape[0]
     y = np.empty(n)
-    blocks, parts = math.ceil(n / 8), max(1, math.ceil(n / PREDICT_ROWS))
-    cuts = [min(n, 8 * (blocks * j // parts)) for j in range(parts + 1)]
-    bounds = list(zip(cuts, cuts[1:]))
-    rows = max(hi - lo for lo, hi in bounds)
-    buffers = [[np.empty((rows, k)) for k in (4 * d, 4 * d, d, d, d)] for d in m.hidden_dims]
-    for lo, hi in bounds:
-        part = windows[lo:hi]
-        outs = [[a[: hi - lo] for a in layer_buffers] for layer_buffers in buffers]
-        for _, _, h, c, _ in outs:
-            h.fill(0.0)
-            c.fill(0.0)
-        for t in range(w):
-            x = part[:, t : t + 1]
-            for layer, out in zip(m.layers, outs):
-                x, _, _ = lstm_cell_forward(layer, x, out[2], out[3], out)
-        y[lo:hi] = _head(m, x)[0]
+    workers = _predict_workers()
+    parts = max(1, math.ceil(n / max(8, PREDICT_ROWS // workers // 8 * 8)))
+    workers = min(workers, parts)
+    rows = min(n, 8 * math.ceil(math.ceil(n / 8) / parts))
+    jobs = [
+        (
+            range(parts * j // workers, parts * (j + 1) // workers),
+            [[np.empty((rows, k)) for k in (4 * d, 4 * d, d, d, d)] for d in m.hidden_dims],
+        )
+        for j in range(workers)
+    ]
+    failures: list[BaseException] = []
+    helpers = [
+        threading.Thread(
+            target=contextvars.copy_context().run,
+            args=(_predict_parts, m, windows, y, parts, share, buffers, failures),
+        )
+        for share, buffers in jobs[1:]
+    ]
+    for helper in helpers:
+        helper.start()
+    _predict_parts(m, windows, y, parts, *jobs[0], failures)
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
     return y
 
 

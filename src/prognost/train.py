@@ -110,11 +110,16 @@ def parse_config_file(path) -> TrainConfig:
 @dataclass
 class AdamState:
     """First/second moment vectors, laid out like ModelParams.theta, plus
-    the shared step counter."""
+    the shared step counter; adam_step updates all three in place, through
+    a scratch vector of the same layout."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty_like(self.m)
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "AdamState":
@@ -239,18 +244,30 @@ def adam_step(
     """One bias-corrected Adam update over the whole parameter vector.
 
     theta <- theta - lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+
+    ``s`` is advanced in place and returned; a non-finite gradient raises
+    before it changes. Each value is rounded in the order the formula reads.
     """
-    bad = ~np.isfinite(g)
-    if bad.any():
-        block = m.block_at(int(np.argmax(bad)))
+    if not np.isfinite(g).all():
+        block = m.block_at(int(np.argmax(~np.isfinite(g))))
         raise GradientError(f"non-finite gradient in block {block}; training aborted")
-    t = s.t + 1
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-    m_new = ADAM_BETA1 * s.m + (1.0 - ADAM_BETA1) * g
-    v_new = ADAM_BETA2 * s.v + (1.0 - ADAM_BETA2) * (g * g)
-    theta = m.theta - cfg.learning_rate * (m_new / bc1) / (np.sqrt(v_new / bc2) + ADAM_EPSILON)
-    return m.with_theta(theta), AdamState(m_new, v_new, t)
+    s.t += 1
+    bc1 = 1.0 - ADAM_BETA1**s.t
+    bc2 = 1.0 - ADAM_BETA2**s.t
+    tmp = s.scratch
+    s.m *= ADAM_BETA1
+    s.m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+    s.v *= ADAM_BETA2
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - ADAM_BETA2
+    s.v += tmp
+    np.divide(s.v, bc2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPSILON
+    step = np.divide(s.m, bc1)
+    step *= cfg.learning_rate
+    step /= tmp
+    return m.with_theta(np.subtract(m.theta, step, out=step)), s
 
 
 def _clip_gradients(g: np.ndarray, max_norm: float) -> np.ndarray:

@@ -525,15 +525,60 @@ class TestGradCheckCommand:
         assert "FAIL" in capsys.readouterr().out
 
 
+def fresh_python(args, blas_threads=None, **kwargs):
+    """Run a fresh interpreter, as every pipeline stage starts one, with
+    OPENBLAS_NUM_THREADS unset or set to ``blas_threads``."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True, **kwargs).stdout
+
+
 class TestImportCost:
     def test_cli_import_leaves_scipy_out(self):
-        # a fresh interpreter, as every pipeline stage starts one
         probe = ("import sys, prognost.cli; "
                  "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, check=True)
-        assert done.stdout.strip() == "[]"
+        assert fresh_python(["-c", probe]).strip() == "[]"
+
+
+class TestBlasThreads:
+    PROBE = "import os, {first}; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+    @pytest.mark.parametrize("given, first, want", [
+        (None, "prognost", "1"),
+        ("3", "prognost", "3"),
+        (None, "numpy, prognost", "None"),
+    ], ids=["default", "explicit", "numpy_first"])
+    def test_import_sets_one_blas_thread_unless_told(self, given, first, want):
+        assert fresh_python(["-c", self.PROBE.format(first=first)], given).strip() == want
+
+    def test_package_train_is_the_function_after_the_cli_import(self):
+        probe = "import prognost.cli; from prognost import train; print(callable(train))"
+        assert fresh_python(["-c", probe]).strip() == "True"
+
+    def test_pipeline_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # evaluate's 395 windows run on two workers with one BLAS thread
+        clean = make_clean_series(tmp_path, n=400)
+        cfg = write_config(tmp_path, hidden_dims="16,8", epochs="3")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            stages = [
+                ["train", "--in", clean, "--config", cfg, "--model-out", out / "m.model",
+                 "--report-out", out / "report.csv"],
+                ["evaluate", "--model", out / "m.model", "--in", clean,
+                 "--metrics-out", out / "metrics.csv", "--trace-out", out / "trace.csv"],
+                ["predict", "--model", out / "m.model", "--window", "0.5,0.4,0.3,0.2,0.1"],
+            ]
+            printed = [fresh_python(["-m", "prognost.cli", *map(str, args)], threads)
+                       for args in stages]
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+            outputs.append((printed, files))
+        assert len(outputs[0][1]) == 4
+        assert outputs[0] == outputs[1]
 
 
 class TestUsageContract:

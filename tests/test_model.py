@@ -2,6 +2,8 @@
 
 import binascii
 import math
+import os
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -42,6 +44,31 @@ DATA = Path(__file__).parent / "data"
 
 def zero_model(dims=(3,), loss_mode="mse"):
     return ModelParams(np.zeros(param_count(dims)), dims, loss_mode)
+
+
+def use_cores(mp, cores):
+    """Let predict_windows spread rows over ``cores`` workers."""
+    mp.setenv("OPENBLAS_NUM_THREADS", "1")
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def predict_peak_growth(n0, calls=1):
+    """Growth of predict_windows' traced peak from n0 to 4,096 windows; each
+    peak is the largest of ``calls`` calls."""
+    params = init_params(TrainConfig(hidden_dims=(32, 16)), 3)
+    rng = np.random.Generator(np.random.PCG64(4))
+    peaks = []
+    for n in (n0, 16 * 256):
+        windows = rng.uniform(-1, 1, size=(n, 5))
+        peaks.append(0)
+        for _ in range(calls):
+            tracemalloc.start()
+            try:
+                predict_windows(params, windows)
+                peaks[-1] = max(peaks[-1], tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    return peaks[1] - peaks[0]
 
 
 def scalar_cell_oracle(p, x, h_prev, c_prev):
@@ -171,6 +198,23 @@ class TestCellForward:
         h, c, cache = lstm_cell_forward(p, x, h_prev, c_prev, out)
         assert h is h_prev and c is c_prev and cache is None
         assert np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
+
+    @pytest.mark.parametrize("rows", [1, 50, 256])
+    def test_one_input_product_keeps_the_gemm_bits(self, rows):
+        # layer 1 multiplies its one input column by W instead of a GEMM
+        rng = np.random.Generator(np.random.PCG64(rows))
+        p = init_params(TrainConfig(hidden_dims=(16,)), rows).layers[0]
+        windows = rng.uniform(-1, 1, (rows, 5))
+        windows[::7] = 0.0
+        x = windows[:, 2:3]  # a strided column, as the forward passes feed it
+        h_prev, c_prev = rng.uniform(-1, 1, (2, rows, 16))
+        gates = x @ p.W.T
+        gates += h_prev @ p.V.T
+        gates += p.b
+        sigmoid(gates[:, :48], out=gates[:, :48])
+        np.tanh(gates[:, 48:], out=gates[:, 48:])
+        _, _, cache = lstm_cell_forward(p, x, h_prev, c_prev)
+        assert np.array_equal(cache.gates, gates)
 
     def test_shape_mismatch(self):
         p = layer_zeros(1, 3)
@@ -313,19 +357,71 @@ class TestForwardWindow:
     def test_predict_memory_stops_growing_at_256_rows(self):
         # Parts of at most 256 rows keep a step's arrays cache-sized, so from
         # 256 windows on only the output may grow with the batch. The windows
-        # exist before tracing starts; 4 KiB covers the list of part bounds.
-        params = init_params(TrainConfig(hidden_dims=(32, 16)), 3)
-        rng = np.random.Generator(np.random.PCG64(4))
-        peaks = []
-        for n in (256, 16 * 256):
-            windows = rng.uniform(-1, 1, size=(n, 5))
-            tracemalloc.start()
-            try:
-                predict_windows(params, windows)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] - peaks[0] <= 15 * 256 * 8 + 4096
+        # exist before tracing starts; 4 KiB is slack for per-part bookkeeping.
+        assert predict_peak_growth(256) <= 15 * 256 * 8 + 4096
+
+    def test_parallel_predict_memory_stops_growing_at_256_rows(self, monkeypatch):
+        # Two workers on parts of 128 rows hold one 256-row set between them;
+        # from 2 x 128 windows on every worker has its part, so again only
+        # the output may grow. Each worker's step briefly holds about 2.5 KB
+        # of numpy iterator and view objects, and whether the two workers'
+        # overlap depends on the scheduler, so a peak is the largest of five.
+        use_cores(monkeypatch, 2)
+        assert predict_peak_growth(2 * (PREDICT_ROWS // 2), calls=5) <= 15 * 256 * 8 + 4096
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        dims=st.sampled_from([(8, 4), (5,), (32, 16)]),
+        cores=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_parallel_predict_keeps_the_serial_bits(self, n, dims, cores, seed):
+        params = init_params(TrainConfig(hidden_dims=dims), seed % 1000)
+        windows = np.random.Generator(np.random.PCG64(seed)).uniform(-1, 1, size=(n, 5))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("OPENBLAS_NUM_THREADS", "2")
+            serial = predict_windows(params, windows)
+            use_cores(mp, cores)
+            parallel = predict_windows(params, windows)
+        assert serial.tobytes() == parallel.tobytes()
+
+    def test_parallel_predict_keeps_the_callers_errstate(self, monkeypatch):
+        # helper threads must run under the caller's np.errstate: a worker
+        # that warned here would fail the call under simplefilter("error")
+        use_cores(monkeypatch, 2)
+        theta = np.full(param_count((4,)), 1.7e308)
+        theta[::2] *= -1.0
+        m = ModelParams(theta, (4,))
+        windows = np.random.Generator(np.random.PCG64(5)).uniform(-1, 1, size=(1000, 5))
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            y = predict_windows(m, windows)
+        assert y.shape == (1000,) and not np.isfinite(y).all()
+
+    def test_parallel_predict_raises_a_helpers_error(self, monkeypatch):
+        # only the last window overflows, and a helper thread forwards it
+        use_cores(monkeypatch, 2)
+        m = ModelParams(np.full(param_count((4,)), 1.5), (4,))
+        windows = np.zeros((1000, 5))
+        windows[-1] = 1.7e308
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            predict_windows(m, windows)
+
+    def test_parallel_predict_under_thread_stress(self, monkeypatch):
+        # more workers than cores, switching threads every few microseconds
+        params = init_params(TrainConfig(hidden_dims=(8, 4)), 6)
+        windows = np.random.Generator(np.random.PCG64(6)).uniform(-1, 1, size=(2000, 5))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        serial = predict_windows(params, windows)
+        use_cores(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert predict_windows(params, windows).tobytes() == serial.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_bce_mode_head_is_sigmoid(self):
         params = init_params(TrainConfig(hidden_dims=(3,), loss_mode="bce"), 5)

@@ -24,7 +24,14 @@ from prognost import (
 from prognost.errors import ContractError
 from prognost.model import forward_windows, init_params, predict_windows
 from prognost.preprocess import SplitDataset, WindowedDataset, make_windows, split_train_test
-from prognost.train import ADAM_EPSILON, AdamState, TrainReport, write_report_csv
+from prognost.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
+    AdamState,
+    TrainReport,
+    write_report_csv,
+)
 
 from test_model import zero_model
 
@@ -210,7 +217,44 @@ class TestBpttBackward:
                     assert grad_block[idx] == pytest.approx(numeric, rel=1e-4, abs=1e-9), name
 
 
+def adam_oracle(theta, g, m, v, t, lr):
+    """The out-of-place Adam step, one fresh array per operation."""
+    t += 1
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+    theta = theta - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+    return theta, m, v, t
+
+
 class TestAdamStep:
+    def test_in_place_step_keeps_the_oracle_bits(self):
+        cfg = TrainConfig(hidden_dims=(6, 3), learning_rate=0.003)
+        params = init_params(cfg, 4)
+        state = AdamState.zeros(params)
+        theta, m, v, t = params.theta, state.m.copy(), state.v.copy(), 0
+        rng = np.random.Generator(np.random.PCG64(4))
+        for _ in range(20):
+            g = rng.normal(0.0, 1.0, params.theta.shape) * rng.choice([1e-9, 1.0, 1e3])
+            params, returned = adam_step(params, g, state, cfg)
+            theta, m, v, t = adam_oracle(theta, g, m, v, t, cfg.learning_rate)
+            assert returned is state and state.t == t
+            assert params.theta.tobytes() == theta.tobytes()
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
+    def test_non_finite_gradient_leaves_the_state_alone(self):
+        cfg = TrainConfig(hidden_dims=(2,))
+        params = init_params(cfg, 1)
+        state = AdamState.zeros(params)
+        adam_step(params, np.full_like(params.theta, 0.5), state, cfg)
+        m, v = state.m.copy(), state.v.copy()
+        grads = np.zeros_like(params.theta)
+        grads[-1] = np.inf
+        with pytest.raises(GradientError, match="Wr"):
+            adam_step(params, grads, state, cfg)
+        assert state.t == 1 and np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
     def test_zero_gradients_leave_parameters_unchanged(self):
         cfg = TrainConfig(hidden_dims=(4,))
         params = init_params(cfg, 5)
