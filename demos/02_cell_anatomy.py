@@ -18,7 +18,7 @@ columns [0, d) are i, [d, 2d) f, [2d, 3d) o and [3d, 4d) the candidate.
 import numpy as np
 
 from prognost import TrainConfig, forward_window, init_params, lstm_cell_forward
-from prognost.model import layer_zeros
+from prognost.model import forward_windows, layer_zeros
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -37,8 +37,8 @@ print(f"carried state: c = 0.5*c0 = {c},  h = 0.5*tanh(c) = {h}")
 # ---- a trained-shape stack: one scalar in, one scalar out --------------------
 params = init_params(TrainConfig(hidden_dims=(8, 4)), seed=7)
 window = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
-y, cache = forward_window(params, window)
-print(f"\nstacked 8/4 model on window {window}: prediction {y:.5f}")
+ys, cache = forward_windows(params, window[None, :])
+print(f"\nstacked 8/4 model on window {window}: prediction {ys[0]:.5f}")
 
 # the cache keeps every step's fused gate array for backpropagation through time
 step, layer = 4, 1
@@ -49,5 +49,5 @@ print(f"step {step + 1}, layer {layer + 1}: gate array {cc.gates.shape}, "
 print(f"hidden state feeding the regression head: {cache.head_input[0]}")
 
 # gates live strictly inside (0,1), so |h| < 1 no matter the input
-extreme, _ = forward_window(params, np.array([1e6, -1e6, 1e6, -1e6, 1e6]))
+extreme = forward_window(params, np.array([1e6, -1e6, 1e6, -1e6, 1e6]))
 print(f"\nprediction stays finite for absurd inputs: {extreme:.5f}")

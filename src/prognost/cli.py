@@ -249,11 +249,11 @@ def _cmd_predict(args) -> int:
         raise ValidationError(f"--window holds a non-finite value: {args.window!r}")
     if params.scaler is not None:
         scaled, _ = preprocess.apply_scaler(params.scaler, window, "forward")
-        y, _ = forward_window(params, scaled)
+        y = forward_window(params, scaled)
         out, _ = preprocess.apply_scaler(params.scaler, np.array([y]), "inverse")
         print(fmt_float(out[0]))
     else:
-        y, _ = forward_window(params, window)
+        y = forward_window(params, window)
         print(fmt_float(y))
     return EXIT_OK
 

@@ -29,7 +29,7 @@ def make_degradation_series(n: int) -> SnapshotSeries:
     trend = 0.1 + 0.05 * frac + 0.6 * frac**6
     noise = rng.normal(0.0, 0.004, size=n)
     values = trend + noise
-    spike_at = rng.choice(np.arange(5, n - 5), size=max(1, n // 80), replace=False)
+    spike_at = rng.choice(np.arange(5, max(6, n - 5)), size=max(1, n // 80), replace=False)
     values[spike_at] += rng.uniform(0.3, 0.6, size=spike_at.size)
     return SnapshotSeries(idx, values)
 

@@ -331,15 +331,20 @@ def _head(m: ModelParams, head_input: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.clip(q, BCE_CLIP, 1.0 - BCE_CLIP), interior
 
 
+def _as_windows(windows) -> np.ndarray:
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 2 or windows.shape[1] == 0:
+        raise ValueError(f"windows must be a (batch, W) matrix with W >= 1, got {windows.shape}")
+    return windows
+
+
 def forward_windows(m: ModelParams, windows: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Predict a batch of windows at once, keeping every step for BPTT.
 
     Rows are independent samples. State starts at zero for every window,
     so a window's prediction depends only on its own W values.
     """
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 2:
-        raise ValueError("windows must be a (batch, W) matrix")
+    windows = _as_windows(windows)
     batch, w = windows.shape
     h = [np.zeros((batch, d)) for d in m.hidden_dims]
     c = [np.zeros((batch, d)) for d in m.hidden_dims]
@@ -356,13 +361,12 @@ def forward_windows(m: ModelParams, windows: np.ndarray) -> tuple[np.ndarray, Fo
     return y, ForwardCache(m, steps, h[-1], y, interior)
 
 
-def forward_window(m: ModelParams, window) -> tuple[float, ForwardCache]:
-    """Predict one window; returns the scalar and a cache usable for BPTT."""
+def forward_window(m: ModelParams, window) -> float:
+    """Predict one window, through predict_windows."""
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 1:
         raise ValueError("a window is a flat sequence of scalars")
-    y, cache = forward_windows(m, window[None, :])
-    return float(y[0]), cache
+    return float(predict_windows(m, window[None, :])[0])
 
 
 def _predict_workers() -> int:
@@ -375,34 +379,34 @@ def _predict_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _predict_parts(m: ModelParams, windows: np.ndarray, y: np.ndarray, parts: int,
-                   share: range, buffers: list, failures: list) -> None:
-    """Forward parts ``share`` of ``windows``, cut into ``parts`` parts, into ``y``.
+def _cuts(n: int, parts: int) -> list[int]:
+    """Bounds of ``parts`` near-equal parts of ``n`` rows, cut at multiples of
+    8 rows, so no part is small and only the last ends in a ragged tail of
+    rows, which BLAS kernels treat apart."""
+    return [min(n, 8 * (math.ceil(n / 8) * j // parts)) for j in range(parts + 1)]
 
-    Part j starts at row 8 * (ceil(n / 8) * j // parts): near-equal parts
-    of a multiple of 8 rows, so no part is small and only the last ends in
-    a ragged tail of rows, which BLAS kernels treat apart. ``buffers`` holds
-    each layer's (gates, rec, h, c, tanh_c) arrays, sized for the largest
-    part; every step writes into them with PREDICT_BUFSIZE ufunc buffers. An
-    exception is appended to ``failures``, for the calling thread to raise.
+
+def _predict_share(m: ModelParams, windows: np.ndarray, y: np.ndarray, rows: int,
+                   failures: list) -> None:
+    """Forward ``windows`` into ``y`` in parts of at most ``rows`` rows.
+
+    Each layer's (gates, rec, h, c, tanh_c) arrays are allocated once, sized
+    for the largest part, and every step writes into them with
+    PREDICT_BUFSIZE ufunc buffers. An exception is appended to
+    ``failures``, for the calling thread to raise.
     """
-    n, w = windows.shape
-    blocks = math.ceil(n / 8)
+    cuts = _cuts(len(windows), max(1, math.ceil(len(windows) / rows)))
+    size = max(hi - lo for lo, hi in zip(cuts, cuts[1:]))
     bufsize = np.setbufsize(PREDICT_BUFSIZE)
     try:
-        for j in share:
-            lo, hi = (min(n, 8 * (blocks * i // parts)) for i in (j, j + 1))
-            part = windows[lo:hi]
-            # A full-size part writes into the arrays themselves, so that a
-            # worker allocates no views for it while the others run.
-            outs = buffers
-            if hi - lo < len(buffers[0][0]):
-                outs = [[a[: hi - lo] for a in layer_buffers] for layer_buffers in buffers]
+        buffers = [[np.empty((size, k)) for k in (4 * d, 4 * d, d, d, d)] for d in m.hidden_dims]
+        for lo, hi in zip(cuts, cuts[1:]):
+            outs = [[a[: hi - lo] for a in layer_buffers] for layer_buffers in buffers]
             for _, _, h, c, _ in outs:
                 h.fill(0.0)
                 c.fill(0.0)
-            for t in range(w):
-                x = part[:, t : t + 1]
+            for t in range(windows.shape[1]):
+                x = windows[lo:hi, t : t + 1]
                 for layer, out in zip(m.layers, outs):
                     x, _, _ = lstm_cell_forward(layer, x, out[2], out[3], out)
             y[lo:hi] = _head(m, x)[0]
@@ -415,44 +419,31 @@ def _predict_parts(m: ModelParams, windows: np.ndarray, y: np.ndarray, parts: in
 def predict_windows(m: ModelParams, windows: np.ndarray) -> np.ndarray:
     """Batch predictions without caches, PREDICT_ROWS rows in flight at most.
 
-    Rows are independent, so when OpenBLAS runs on one thread the parts are
-    shared out over one worker per core: the calling thread works the first
+    Rows are independent, so when OpenBLAS runs on one thread the batch is
+    cut into one contiguous share per core, each forwarded in parts of at
+    most PREDICT_ROWS / workers rows. The calling thread works the first
     share and helper threads, run in copies of the caller's context (its
-    np.errstate), the others. Every worker's arrays, sized for one part of
-    PREDICT_ROWS / workers rows, are allocated before the helpers start, and
-    each worker writes only its own rows of the result. The steps round as
-    forward_windows does, so a single window predicts the same bits on both
-    paths, and the result does not depend on the number of workers. On
-    10,000 windows of the 128/64 stack (2-core Xeon, OpenBLAS 0.3.31, one
-    thread) a call took about 700 ms on one worker and 430 ms on two.
+    np.errstate), the others. The steps round as forward_windows does, so a
+    single window predicts the same bits on both paths, and the result does
+    not depend on the number of workers. On 10,000 windows of the 128/64
+    stack (2-core Xeon, OpenBLAS 0.3.31, one thread) a call took about
+    700 ms on one worker and 430 ms on two.
     """
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 2:
-        raise ValueError("windows must be a (batch, W) matrix")
-    n = windows.shape[0]
+    windows = _as_windows(windows)
+    n = len(windows)
     y = np.empty(n)
     workers = _predict_workers()
-    parts = max(1, math.ceil(n / max(8, PREDICT_ROWS // workers // 8 * 8)))
-    workers = min(workers, parts)
-    rows = min(n, 8 * math.ceil(math.ceil(n / 8) / parts))
-    jobs = [
-        (
-            range(parts * j // workers, parts * (j + 1) // workers),
-            [[np.empty((rows, k)) for k in (4 * d, 4 * d, d, d, d)] for d in m.hidden_dims],
-        )
-        for j in range(workers)
-    ]
+    rows = max(8, PREDICT_ROWS // workers // 8 * 8)
+    cuts = _cuts(n, max(1, min(workers, math.ceil(n / rows))))
     failures: list[BaseException] = []
+    shares = [(windows[lo:hi], y[lo:hi], rows, failures) for lo, hi in zip(cuts, cuts[1:])]
     helpers = [
-        threading.Thread(
-            target=contextvars.copy_context().run,
-            args=(_predict_parts, m, windows, y, parts, share, buffers, failures),
-        )
-        for share, buffers in jobs[1:]
+        threading.Thread(target=contextvars.copy_context().run, args=(_predict_share, m, *share))
+        for share in shares[1:]
     ]
     for helper in helpers:
         helper.start()
-    _predict_parts(m, windows, y, parts, *jobs[0], failures)
+    _predict_share(m, *shares[0])
     for helper in helpers:
         helper.join()
     if failures:

@@ -71,6 +71,8 @@ class TrainConfig:
             raise ConfigError(f"loss_mode must be 'mse' or 'bce', got {self.loss_mode!r}")
         if self.max_grad_norm is not None and not self.max_grad_norm > 0:
             raise ConfigError("max_grad_norm must be > 0 when set")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 _CONFIG_PARSERS = {
@@ -373,6 +375,8 @@ def grad_check(cfg: TrainConfig, seed: int = 7, eps: float = 1e-6) -> list[Block
     """
     if not 0 < eps < np.inf:
         raise ConfigError("grad_check epsilon must be finite and > 0")
+    if seed < 0:
+        raise ConfigError(f"grad_check seed must be >= 0, got {seed}")
     params, windows, targets = _probe_model(cfg, seed)
 
     y, cache = forward_windows(params, windows)

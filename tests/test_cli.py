@@ -28,10 +28,10 @@ def make_clean_series(tmp_path, n=120, kind="sine"):
     return clean
 
 
-def write_config(tmp_path, **overrides):
+def write_config(tmp_path, name="cfg", **overrides):
     base = {"hidden_dims": "6", "epochs": "8", "seed": "9"}
     base.update({k: str(v) for k, v in overrides.items()})
-    path = tmp_path / "cfg"
+    path = tmp_path / name
     path.write_text("".join(f"{k} = {v}\n" for k, v in base.items()))
     return path
 
@@ -58,6 +58,11 @@ class TestGenFixture:
 
     def test_too_small_n_is_usage_error(self, tmp_path):
         assert run(["gen-fixture", "--kind", "sine", "--n", "3", "--out", str(tmp_path / "x")]) == 1
+
+    def test_documented_minimum_n_works(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run(["gen-fixture", "--kind", "degradation", "--n", "10", "--out", str(out)]) == 0
+        assert len(read_series_csv(out)) == 10
 
 
 class TestIngest:
@@ -288,6 +293,9 @@ FLAG_MISUSE = {
                          "--channel", "-1"],
     "channels-0": ["ingest", "--ims-dir", "{ims}", "--out", "{out}", "--channels", "0"],
     "grad-check-eps-inf": ["grad-check", "--dims", "2", "--eps", "inf"],
+    "grad-check-seed-negative": ["grad-check", "--dims", "2", "--seed", "-1"],
+    "seed-negative": ["train", "--in", "{clean}", "--model-out", "{out}",
+                      "--report-out", "{out}2", "--config", "{seed_cfg}"],
 }
 
 
@@ -298,7 +306,8 @@ def test_flag_misuse_is_usage_error(tmp_path, capsys, argv):
     ims.mkdir()
     (ims / "2004.02.12.10.32.39").write_text("0.1\t0.2\n0.3\t0.4\n")
     paths = {"clean": clean, "raw": tmp_path / "raw.csv", "ims": ims, "out": tmp_path / "out",
-             "inf_cfg": write_config(tmp_path, learning_rate="inf")}
+             "inf_cfg": write_config(tmp_path, "inf.cfg", learning_rate="inf"),
+             "seed_cfg": write_config(tmp_path, "seed.cfg", seed="-1")}
     capsys.readouterr()
     assert run([arg.format(**paths) for arg in argv]) == 1
     assert capsys.readouterr().err.startswith("configuration error: ")
@@ -430,8 +439,8 @@ class TestPredictCommand:
         assert np.isfinite(value)
 
     def test_prints_predict_windows_through_the_scaler(self, tmp_path, capsys):
-        # predict runs the cached forward_window; the batched predict_windows
-        # must give the same bits, mapped through the model's scaler
+        # predict forwards its one window through predict_windows, mapped
+        # through the model's scaler; the printed value has the same bits
         clean, model, _ = train_small(tmp_path)
         values = read_series_csv(clean).values
         capsys.readouterr()

@@ -1,4 +1,5 @@
-"""Demos that reach into the forward cache and the gradient checker run cleanly."""
+"""The demos that need no external data run cleanly: the pipeline walk, the
+forward cache, the gradient checker and the sine overfit."""
 
 import os
 import subprocess
@@ -10,7 +11,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["02_cell_anatomy.py", "03_gradient_check.py"])
+@pytest.mark.parametrize(
+    "demo",
+    ["01_synthetic_pipeline.py", "02_cell_anatomy.py", "03_gradient_check.py",
+     "04_sine_overfit.py"],
+)
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -42,3 +42,11 @@ def test_minimum_length():
         make_sine_series(1)
     with pytest.raises(ValueError):
         make_degradation_series(5)
+
+
+def test_degradation_minimum_length_has_its_spike():
+    # at the documented minimum of 10 points the one spike can only land on
+    # index 5, the first point that is 5 away from both ends
+    values = make_degradation_series(10).values
+    assert values.shape == (10,) and np.isfinite(values).all()
+    assert values[5] - (values[4] + values[6]) / 2 > 0.25

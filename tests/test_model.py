@@ -286,20 +286,20 @@ class TestSigmoid:
 
 class TestForwardWindow:
     def test_zero_model_predicts_zero(self):
-        y, _ = forward_window(zero_model((4, 3)), np.array([0.2, 0.4, 0.6, 0.8, 1.0]))
+        y = forward_window(zero_model((4, 3)), np.array([0.2, 0.4, 0.6, 0.8, 1.0]))
         assert y == 0.0
 
     def test_w1_is_cell_plus_head(self):
         params = init_params(TrainConfig(hidden_dims=(3,)), 5)
         x = np.array([0.37])
-        y, _ = forward_window(params, x)
+        y = forward_window(params, x)
         h, _, _ = lstm_cell_forward(params.layers[0], x, np.zeros(3), np.zeros(3))
         assert abs(y - float((params.w_r @ h)[0])) < 1e-14
 
     def test_matches_unrolled_scalar_oracle(self):
         params = init_params(TrainConfig(hidden_dims=(4, 3)), 12)
         window = np.array([0.1, 0.5, -0.3, 0.9, 0.2])
-        y, _ = forward_window(params, window)
+        y = forward_window(params, window)
         states = [(np.zeros(l.hidden_size), np.zeros(l.hidden_size)) for l in params.layers]
         for value in window:
             x = np.array([value])
@@ -315,14 +315,14 @@ class TestForwardWindow:
     def test_time_shift_locality(self):
         params = init_params(TrainConfig(hidden_dims=(4,)), 6)
         series = np.concatenate([np.array([0.1, 0.2, 0.3]), np.array([0.1, 0.2, 0.3])])
-        y1, _ = forward_window(params, series[0:3])
-        y2, _ = forward_window(params, series[3:6])
+        y1 = forward_window(params, series[0:3])
+        y2 = forward_window(params, series[3:6])
         assert y1 == y2
 
     def test_repeated_calls_bit_identical(self):
         params = init_params(TrainConfig(hidden_dims=(4, 3)), 6)
         w = np.array([0.3, -0.1, 0.7, 0.2, 0.5])
-        assert forward_window(params, w)[0] == forward_window(params, w)[0]
+        assert forward_window(params, w) == forward_window(params, w)
 
     def test_batch_agrees_with_reference(self):
         params = init_params(TrainConfig(hidden_dims=(5, 4)), 9)
@@ -330,7 +330,7 @@ class TestForwardWindow:
         windows = rng.uniform(-1, 1, size=(7, 5))
         ys = predict_windows(params, windows)
         for i in range(7):
-            y_ref, _ = forward_window(params, windows[i])
+            y_ref = forward_window(params, windows[i])
             assert abs(ys[i] - y_ref) < 1e-13
 
     @pytest.mark.parametrize("dims", [(8, 4), (5,)], ids=["stack8_4", "stack5"])
@@ -346,13 +346,24 @@ class TestForwardWindow:
         ys = predict_windows(params, windows)
         assert ys.shape == (n,)
         if n == 1:
-            # the CLI's predict runs forward_window; the bits must be the same
-            assert ys[0] == forward_window(params, windows[0])[0]
+            # one window predicts the same bits on the cached path
+            assert ys[0] == forward_windows(params, windows)[0][0]
         np.testing.assert_allclose(ys, forward_windows(params, windows)[0], rtol=0, atol=1e-15)
 
-    def test_predict_rejects_a_flat_window(self):
+    @pytest.mark.parametrize(
+        "forward, windows",
+        [
+            (predict_windows, np.zeros(5)),
+            (predict_windows, np.ones((3, 0))),
+            (forward_windows, np.ones((3, 0))),
+            (forward_window, []),
+        ],
+        ids=["predict-flat", "predict-zero-width", "cached-zero-width", "one-empty"],
+    )
+    def test_predict_rejects_a_flat_window(self, forward, windows):
+        # a window of no values has no prediction, not a zero
         with pytest.raises(ValueError):
-            predict_windows(zero_model((4, 3)), np.zeros(5))
+            forward(zero_model((4, 3)), windows)
 
     def test_predict_memory_stops_growing_at_256_rows(self):
         # Parts of at most 256 rows keep a step's arrays cache-sized, so from
@@ -425,7 +436,8 @@ class TestForwardWindow:
 
     def test_bce_mode_head_is_sigmoid(self):
         params = init_params(TrainConfig(hidden_dims=(3,), loss_mode="bce"), 5)
-        y, cache = forward_window(params, np.array([0.2, 0.4, 0.6]))
+        ys, cache = forward_windows(params, np.array([[0.2, 0.4, 0.6]]))
+        y = float(ys[0])
         assert 0 < y < 1
         y_raw = float((cache.head_input @ params.w_r.T)[0, 0])
         assert y == pytest.approx(1.0 / (1.0 + math.exp(-y_raw)))

@@ -65,6 +65,7 @@ class TestTrainConfig:
             {"learning_rate": float("nan")},
             {"max_grad_norm": 0.0},
             {"window": 0},
+            {"seed": -1},
         ],
     )
     def test_invalid_configs_rejected(self, kw):
