@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -72,7 +73,9 @@ def _parse_window_values(text: str) -> np.ndarray:
         raise UsageError(f"bad --window value {text!r}; expected comma-separated numbers") from None
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process: each parse_args call fills a fresh namespace."""
     parser = _Parser(
         prog="prognost",
         description=__doc__,
@@ -127,7 +130,7 @@ def build_parser() -> _Parser:
                    help="report in scaled [0,1] space (default) or original units")
     p.add_argument("--window", type=int, default=None,
                    help="window length used at training time (default: the length the "
-                        "model records; 5 for v1 model files, which record none)")
+                        "model records; 5 for a model that records none)")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("predict",

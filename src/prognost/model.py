@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import binascii
 import contextvars
+import io
 import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -43,8 +43,8 @@ from .errors import (
 from .preprocess import MinMaxScaler
 from .series import fmt_float, frozen_copy
 
-MODEL_MAGIC = "LSTMPROG v2"
-MODEL_MAGIC_V1 = "LSTMPROG v1"
+MODEL_MAGIC = "LSTMPROG v3"
+MODEL_MAGIC_V2 = "LSTMPROG v2"
 GATES = ("i", "f", "o", "c")
 LOSS_MODES = ("mse", "bce")
 
@@ -140,14 +140,20 @@ def param_views(vec: np.ndarray, hidden_dims):
     return tuple(layers), vec[pos:].reshape(1, k)
 
 
+def _file_blocks(vec: np.ndarray, hidden_dims):
+    """(label, view) pairs of a parameter-layout vector in file order, Wi Vi bi
+    ... Wc Vc bc per layer, then Wr; every view is C-contiguous."""
+    layers, w_r = param_views(vec, hidden_dims)
+    for layer in layers:
+        yield from layer.blocks()
+    yield "Wr", w_r
+
+
 def fill_param_vector(hidden_dims, fill) -> np.ndarray:
     """Parameter vector whose blocks ``fill(label, shape)`` fills in file order."""
     theta = np.empty(param_count(hidden_dims))
-    layers, w_r = param_views(theta, hidden_dims)
-    for layer in layers:
-        for label, block in layer.blocks():
-            block[...] = fill(label, block.shape)
-    w_r[...] = fill("Wr", w_r.shape)
+    for label, block in _file_blocks(theta, hidden_dims):
+        block[...] = fill(label, block.shape)
     return theta
 
 
@@ -156,7 +162,7 @@ class ModelParams:
     """Full parameter set: one frozen vector ``theta`` with per-layer views
     ``layers`` and the head view ``w_r``, plus the optional scaler baked in
     when the model is saved and the window length it was trained on (None
-    when unknown, as for v1 files)."""
+    for a model built in code, which then takes windows of any length)."""
 
     theta: np.ndarray
     hidden_dims: tuple[int, ...]
@@ -174,7 +180,11 @@ class ModelParams:
             raise ValidationError(f"loss_mode must be one of {LOSS_MODES}")
         if self.window is not None and not self.window >= 1:
             raise ValidationError(f"window must be a positive length, got {self.window}")
-        theta = frozen_copy(self.theta)
+        theta = self.theta
+        # keep a read-only vector that owns its memory (load_model's): copying re-faults it
+        if not (isinstance(theta, np.ndarray) and theta.dtype == np.float64
+                and theta.base is None and not theta.flags.writeable):
+            theta = frozen_copy(theta)
         layers, w_r = param_views(theta, dims)
         object.__setattr__(self, "hidden_dims", dims)
         object.__setattr__(self, "theta", theta)
@@ -451,65 +461,58 @@ def predict_windows(m: ModelParams, windows: np.ndarray) -> np.ndarray:
     return y
 
 
-def _header_line(m: ModelParams) -> str:
-    dims = " ".join(str(d) for d in m.hidden_dims)
-    line = f"input 1 layers {len(m.layers)} hidden {dims} output 1 loss {m.loss_mode}"
-    return line if m.window is None else f"{line} window {m.window}"
+def _block_line(label: str, block: np.ndarray) -> str:
+    rows, cols = block.shape if block.ndim == 2 else (1, block.size)
+    return f"block {label} {rows} {cols}"
 
 
 def save_model(m: ModelParams, path) -> None:
-    """Write the v2 text format; load_model inverts it bitwise.
+    """Write format v3; load_model inverts it bitwise.
 
-    Each block header line is followed by one line holding the base64 of
-    the block's little-endian float64 values in row-major order.
+    Text lines (magic, header, optional scaler, one ``block <name> <rows>
+    <cols>`` line per block in file order) end with ``data <bytes>``, and
+    the blocks' little-endian float64 values follow it, row-major and in
+    the same order, up to the end of the file.
     """
-    lines = [MODEL_MAGIC, _header_line(m)]
+    blocks = list(_file_blocks(m.theta, m.hidden_dims))
+    dims = " ".join(str(d) for d in m.hidden_dims)
+    header = f"input 1 layers {len(m.layers)} hidden {dims} output 1 loss {m.loss_mode}"
+    lines = [MODEL_MAGIC, header if m.window is None else f"{header} window {m.window}"]
     if m.scaler is not None:
         lines.append(f"scaler {fmt_float(m.scaler.min)} {fmt_float(m.scaler.max)}")
-
-    def emit(label: str, array: np.ndarray) -> None:
-        rows, cols = array.shape if array.ndim == 2 else (1, array.size)
-        lines.append(f"block {label} {rows} {cols}")
-        payload = binascii.b2a_base64(array.astype("<f8").tobytes(), newline=False)
-        lines.append(payload.decode("ascii"))
-
-    for layer in m.layers:
-        for label, block in layer.blocks():
-            emit(label, block)
-    emit("Wr", m.w_r)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines += [_block_line(label, block) for label, block in blocks] + [f"data {m.theta.nbytes}"]
+    with open(path, "wb") as f:
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))
+        for _, block in blocks:
+            f.write(block.astype("<f8").tobytes())
 
 
+@dataclass
 class _LineReader:
-    """Sequential line reader that knows its byte position for error reports."""
+    """Reads the non-blank lines of a binary stream as text, one at a time,
+    and knows its byte position for error reports."""
 
-    def __init__(self, text: str):
-        self.lines = text.split("\n")
-        self.index = 0
-        self.offset = 0
+    stream: io.BufferedIOBase
+    offset: int = 0
 
     def next_line(self, what: str) -> str:
-        while self.index < len(self.lines):
-            line = self.lines[self.index]
-            self.index += 1
-            self.offset += len(line.encode("utf-8")) + 1
+        while raw := self.stream.readline():
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ModelCorruptionError(
+                    f"expected {what}, found non-UTF-8 byte {raw[exc.start]:#04x} "
+                    f"at byte {self.offset + exc.start}"
+                ) from None
+            self.offset += len(raw)
             if line.strip():
-                return line
+                return line.removesuffix("\n")
         raise ModelCorruptionError(
             f"model file truncated at byte {self.offset}: expected {what}"
         )
 
-    def expect_end(self) -> None:
-        for line in self.lines[self.index :]:
-            if line.strip():
-                raise ModelCorruptionError(
-                    f"trailing data at byte {self.offset}: {line.strip()[:40]!r}"
-                )
-            self.offset += len(line.encode("utf-8")) + 1
-            self.index += 1
 
-
-def _parse_header(line: str, v2: bool) -> tuple[int, tuple[int, ...], int, str, int | None]:
+def _parse_header(line: str) -> tuple[tuple[int, ...], str, int | None]:
     tokens = line.split()
     try:
         if tokens[0] != "input" or tokens[2] != "layers":
@@ -525,7 +528,7 @@ def _parse_header(line: str, v2: bool) -> tuple[int, tuple[int, ...], int, str, 
         output = int(rest[1])
         loss_mode = rest[3]
         window = None
-        if v2 and len(rest) == 6 and rest[4] == "window":
+        if len(rest) == 6 and rest[4] == "window":
             window = int(rest[5])
             if window < 1:
                 raise ValueError
@@ -535,105 +538,99 @@ def _parse_header(line: str, v2: bool) -> tuple[int, tuple[int, ...], int, str, 
             raise ValueError
     except (ValueError, IndexError):
         raise ModelCorruptionError(f"malformed model header line: {line!r}") from None
-    return input_dim, dims, output, loss_mode, window
-
-
-def _read_block(
-    reader: _LineReader, label: str, rows: int, cols: int, v2: bool
-) -> np.ndarray:
-    line = reader.next_line(f"block {label}")
-    tokens = line.split()
-    if len(tokens) != 4 or tokens[0] != "block":
-        raise ModelCorruptionError(f"expected a block header for {label}, got {line!r}")
-    if tokens[1] != label:
-        raise ModelCorruptionError(f"expected block {label}, found block {tokens[1]}")
-    try:
-        got_rows, got_cols = int(tokens[2]), int(tokens[3])
-    except ValueError:
-        raise ModelCorruptionError(f"malformed block header: {line!r}") from None
-    if (got_rows, got_cols) != (rows, cols):
-        raise ModelCorruptionError(
-            f"block {label} declares {got_rows}x{got_cols}, expected {rows}x{cols}"
-        )
-    if v2:
-        line = reader.next_line(f"data of block {label}")
-        try:
-            payload = binascii.a2b_base64(line, strict_mode=True)
-        except ValueError:
-            raise ModelCorruptionError(f"block {label}: data line is not base64") from None
-        if len(payload) != 8 * rows * cols:
-            raise ModelCorruptionError(
-                f"block {label}: data holds {len(payload)} bytes, expected {8 * rows * cols}"
-            )
-        return np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
-    data = np.empty((rows, cols))
-    for r in range(rows):
-        line = reader.next_line(f"row {r + 1} of block {label}")
-        parts = line.split()
-        if len(parts) != cols:
-            raise ModelCorruptionError(
-                f"block {label} row {r + 1}: expected {cols} values, got {len(parts)}"
-            )
-        try:
-            data[r] = [float(p) for p in parts]
-        except ValueError:
-            raise ModelCorruptionError(
-                f"block {label} row {r + 1}: non-numeric weight"
-            ) from None
-    return data
-
-
-def load_model(path) -> ModelParams:
-    """Read a v2 or v1 model file; raises the specific error class for each defect."""
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ModelCorruptionError(
-            f"model file is not UTF-8 text: byte {exc.start} is {raw[exc.start]:#04x}"
-        ) from None
-    if "\r" in text:
-        # translate newlines as text mode does, so CRLF files load too
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    reader = _LineReader(text)
-    magic = reader.next_line("magic line")
-    if magic not in (MODEL_MAGIC, MODEL_MAGIC_V1):
-        if magic.startswith("LSTMPROG "):
-            raise ModelVersionError(
-                f"unsupported model version {magic.split(' ', 1)[1]!r}; expected v1 or v2"
-            )
-        raise ModelFormatError(f"not a model file: first line {magic!r}")
-    v2 = magic == MODEL_MAGIC
-    input_dim, dims, output, loss_mode, window = _parse_header(
-        reader.next_line("header line"), v2
-    )
     if input_dim != 1:
         raise ModelCorruptionError(f"unsupported input size {input_dim}; this artifact uses 1")
     if output != 1:
         raise ModelCorruptionError(f"unsupported output size {output}; this artifact uses 1")
+    return dims, loss_mode, window
 
-    # peek for the optional scaler line
+
+def _read_base64_block(line: str, label: str, block: np.ndarray) -> None:
+    """Decode one v2 data line, the base64 of the block's values, into ``block``."""
+    try:
+        payload = binascii.a2b_base64(line, strict_mode=True)
+    except ValueError:
+        raise ModelCorruptionError(f"block {label}: data line is not base64") from None
+    if len(payload) != block.nbytes:
+        raise ModelCorruptionError(
+            f"block {label}: data holds {len(payload)} bytes, expected {block.nbytes}"
+        )
+    block[...] = np.frombuffer(payload, dtype="<f8").reshape(block.shape)
+
+
+def _read_payload(reader: _LineReader, blocks: list) -> None:
+    """Read v3's data line, then each block's raw values straight into the block."""
+    size = sum(block.nbytes for _, block in blocks)
+    line = reader.next_line("the data line")
+    if line.split() != ["data", str(size)]:
+        raise ModelCorruptionError(
+            f"expected the data line 'data {size}', 8 bytes per parameter, found {line[:60]!r}"
+        )
+    for label, block in blocks:
+        got = reader.stream.readinto(block)
+        reader.offset += got
+        if got != block.nbytes:
+            raise ModelCorruptionError(f"data truncated at byte {reader.offset}: "
+                                       f"block {label} lacks {block.nbytes - got} bytes")
+
+
+def _read_model(reader: _LineReader, v3: bool) -> ModelParams:
+    """Everything after the magic line: header, scaler, blocks and their values."""
+    dims, loss_mode, window = _parse_header(reader.next_line("header line"))
+    line = reader.next_line("first block")
     scaler = None
-    probe = reader.next_line("first block")
-    if probe.split()[0] == "scaler":
-        tokens = probe.split()
-        if len(tokens) != 3:
-            raise ModelCorruptionError(f"malformed scaler line: {probe!r}")
+    if (tokens := line.split())[0] == "scaler":
         try:
-            scaler = MinMaxScaler(float(tokens[1]), float(tokens[2]))
+            _, lo, hi = tokens
+            scaler = MinMaxScaler(float(lo), float(hi))
         except (ValueError, ConstantSeriesError):
-            raise ModelCorruptionError(f"malformed scaler line: {probe!r}") from None
-    else:
-        reader.index -= 1
-        reader.offset -= len(probe.encode("utf-8")) + 1
-
-    def read(label: str, shape: tuple[int, ...]) -> np.ndarray:
-        rows, cols = shape if len(shape) == 2 else (1,) + shape
-        return _read_block(reader, label, rows, cols, v2).reshape(shape)
-
-    theta = fill_param_vector(dims, read)
-    reader.expect_end()
+            raise ModelCorruptionError(f"malformed scaler line: {line!r}") from None
+        line = None
+    theta = np.empty(param_count(dims), dtype="<f8")
+    blocks = list(_file_blocks(theta, dims))
+    for label, block in blocks:
+        expected = _block_line(label, block)
+        line = line or reader.next_line(expected)
+        if line.split() != expected.split():
+            raise ModelCorruptionError(
+                f"expected {expected!r} from the header's sizes, found {line[:60]!r}"
+            )
+        line = None
+        if not v3:
+            _read_base64_block(reader.next_line(f"data of block {label}"), label, block)
+    if v3:
+        _read_payload(reader, blocks)
+    # v2, a text format, may end in blank lines; v3 ends with its last value
+    tail = reader.stream.read()
+    if tail.strip() or v3 and tail:
+        raise ModelCorruptionError(f"trailing data at byte {reader.offset}: {tail[:40]!r}")
+    theta.flags.writeable = False
     try:
         return ModelParams(theta, dims, loss_mode, scaler, window)
     except ValidationError as exc:
         raise ModelCorruptionError(str(exc)) from None
+
+
+def load_model(path) -> ModelParams:
+    """Read a v3 or v2 model file; raises the specific error class for each defect.
+
+    A v3 file is read as bytes, its values straight into the parameter
+    vector. A v2 file is text, and its line ends are translated as text
+    mode does, so CRLF files load too.
+    """
+    with open(path, "rb") as f:
+        if f.readline() == MODEL_MAGIC.encode() + b"\n":
+            return _read_model(_LineReader(f, f.tell()), v3=True)
+        f.seek(0)
+        raw = f.read()
+    reader = _LineReader(io.BytesIO(raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")))
+    magic = reader.next_line("magic line")
+    if magic == MODEL_MAGIC:
+        raise ModelCorruptionError(f"{MODEL_MAGIC} must be the first line, ended by LF alone")
+    if magic != MODEL_MAGIC_V2:
+        if magic.startswith("LSTMPROG "):
+            raise ModelVersionError(
+                f"unsupported model version {magic.split(' ', 1)[1]!r}; expected v2 or v3"
+            )
+        raise ModelFormatError(f"not a model file: first line {magic[:60]!r}")
+    return _read_model(reader, v3=False)

@@ -211,13 +211,13 @@ def test_criterion_8_persistence_round_trip(tmp_path):
         load_model(alien)
 
     truncated = tmp_path / "truncated.model"
-    text = first.read_text()
-    truncated.write_text(text[: text.rfind("\n", 0, len(text) // 2) + 1])
+    raw = first.read_bytes()
+    truncated.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(ModelCorruptionError):
         load_model(truncated)
 
     tampered = tmp_path / "tampered.model"
-    tampered.write_text(text.replace("block Vf 3 3", "block Vf 3 4", 1))
+    tampered.write_bytes(raw.replace(b"block Vf 3 3", b"block Vf 3 4", 1))
     with pytest.raises(ModelCorruptionError):
         load_model(tampered)
     report(8, "save/load/save byte-identical; format, version and corruption "

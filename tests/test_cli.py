@@ -17,7 +17,7 @@ from prognost.model import load_model, predict_windows
 from prognost.preprocess import apply_scaler
 
 ROOT = Path(__file__).resolve().parents[1]
-PINNED_V1 = ROOT / "tests" / "data" / "v1_stack_3_2.model"
+PINNED_V2 = ROOT / "tests" / "data" / "v2_stack_3_2.model"
 
 
 def make_clean_series(tmp_path, n=120, kind="sine"):
@@ -210,7 +210,7 @@ class TestTrainCommand:
         lines = report.read_text().splitlines()
         assert lines[0] == "epoch,train_loss,test_rmse"
         assert len(lines) == 9
-        assert model.read_text().startswith("LSTMPROG v2\n")
+        assert model.read_bytes().startswith(b"LSTMPROG v3\n")
 
     def test_sine_contract_200_epochs(self, tmp_path):
         clean = make_clean_series(tmp_path, n=120)
@@ -278,7 +278,7 @@ class TestTrainCommand:
 
 
 FLAG_MISUSE = {
-    "evaluate-window-0": ["evaluate", "--model", str(PINNED_V1), "--in", "{clean}",
+    "evaluate-window-0": ["evaluate", "--model", str(PINNED_V2), "--in", "{clean}",
                           "--metrics-out", "{out}", "--trace-out", "{out}2", "--window", "0"],
     "outlier-window-4": ["preprocess", "--in", "{raw}", "--out", "{out}", "--outlier-window", "4"],
     "outlier-window-1": ["preprocess", "--in", "{raw}", "--out", "{out}", "--outlier-window", "1"],
@@ -387,13 +387,13 @@ class TestEvaluateCommand:
         assert "trained on windows of 5" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
 
-    def test_v1_model_window_defaults_to_5(self, tmp_path):
-        # a v1 file records no window, so any --window is taken as given
+    def test_windowless_model_window_defaults_to_5(self, tmp_path):
+        # the pinned v2 file records no window, so any --window is taken as given
         clean = make_clean_series(tmp_path)
         n_points = len(read_series_csv(clean))
         trace = tmp_path / "trace.csv"
         for flags, windows in (([], n_points - 5), (["--window", "3"], n_points - 3)):
-            assert run(["evaluate", "--model", str(PINNED_V1), "--in", str(clean),
+            assert run(["evaluate", "--model", str(PINNED_V2), "--in", str(clean),
                         "--metrics-out", str(tmp_path / "m.csv"),
                         "--trace-out", str(trace)] + flags) == 0
             assert len(trace.read_text().splitlines()) - 1 == windows
@@ -444,7 +444,7 @@ class TestPredictCommand:
         clean, model, _ = train_small(tmp_path)
         values = read_series_csv(clean).values
         capsys.readouterr()
-        for path in (model, PINNED_V1):
+        for path in (model, PINNED_V2):
             params = load_model(path)
             for start in (0, 17, 40, len(values) - 5):
                 window = values[start : start + 5]
@@ -470,7 +470,7 @@ class TestPredictCommand:
     def test_nan_in_window_is_data_error(self, tmp_path, capsys):
         clean, model, _ = train_small(tmp_path)
         capsys.readouterr()
-        for path in (model, PINNED_V1):
+        for path in (model, PINNED_V2):
             assert run(["predict", "--model", str(path), "--window", "nan,1,2,3,4"]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -478,10 +478,10 @@ class TestPredictCommand:
         assert run(["predict", "--model", str(model), "--window", "0.1,inf,0.3,0.4,0.5"]) == 2
 
     def test_negative_first_window_value(self, capsys):
-        glued = run(["predict", "--model", str(PINNED_V1), "--window=-0.5,1,1,1"])
+        glued = run(["predict", "--model", str(PINNED_V2), "--window=-0.5,1,1,1"])
         expected = capsys.readouterr()
         assert glued == 0
-        assert run(["predict", "--model", str(PINNED_V1), "--window", "-0.5,1,1,1"]) == 0
+        assert run(["predict", "--model", str(PINNED_V2), "--window", "-0.5,1,1,1"]) == 0
         assert capsys.readouterr() == expected
 
     def test_input_size_two_fails_at_load(self, tmp_path, capsys):
@@ -490,7 +490,7 @@ class TestPredictCommand:
 
         path = tmp_path / "wide.model"
         save_model(zero_model((4,)), path)
-        path.write_text(path.read_text().replace("input 1 ", "input 2 ", 1))
+        path.write_bytes(path.read_bytes().replace(b"input 1 ", b"input 2 ", 1))
         assert run(["predict", "--model", str(path), "--window", "0.1,0.2,0.3"]) == 2
         assert "unsupported input size 2" in capsys.readouterr().err
 
@@ -607,6 +607,27 @@ class TestUsageContract:
                     "grad-check", "gen-fixture"):
             assert run([sub, "--help"]) == 0
             assert "--help" in capsys.readouterr().out
+
+    def test_one_parser_serves_successive_calls(self, tmp_path, capsys):
+        # the parser is built once per process, so no call may see another
+        # call's arguments or defaults
+        assert build_parser() is build_parser()
+        clean, model, _ = train_small(tmp_path, window=4)
+        metrics = tmp_path / "m.csv"
+        predict = ["predict", "--model", str(model), "--window", "0.1,0.2,0.3,0.4"]
+        evaluate = ["evaluate", "--model", str(model), "--in", str(clean),
+                    "--metrics-out", str(metrics), "--trace-out", str(tmp_path / "t.csv")]
+        capsys.readouterr()
+        outputs = []
+        for argv in (evaluate, predict, evaluate + ["--space", "original", "--window", "4"],
+                     predict, evaluate):
+            assert run(argv) == 0
+            outputs.append((capsys.readouterr().out, metrics.read_bytes()))
+        assert outputs[4] == outputs[0] and outputs[3][0] == outputs[1][0]
+        assert "original" in outputs[2][0]
+        args = build_parser().parse_args(evaluate)
+        assert (args.window, args.space) == (None, "scaled")
+        assert set(vars(build_parser().parse_args(predict))) == {"command", "model", "window", "func"}
 
     def test_every_flag_documented(self):
         parser = build_parser()

@@ -455,6 +455,21 @@ class TestForwardWindow:
             ModelParams(theta, (4, 2))
 
 
+PINNED_V2 = DATA / "v2_stack_3_2.model"
+
+
+def split_v3(path):
+    """(text lines, payload) of a v3 file: the payload is what follows the data line."""
+    raw = path.read_bytes()
+    at = raw.index(b"\ndata ")
+    end = raw.index(b"\n", at + 1) + 1
+    return raw[:end].decode().splitlines(), raw[end:]
+
+
+def join_v3(path, lines, payload):
+    path.write_bytes(("\n".join(lines) + "\n").encode() + payload)
+
+
 class TestPersistence:
     def _model(self, with_scaler=True):
         params = init_params(TrainConfig(hidden_dims=(4, 3)), 42)
@@ -486,14 +501,16 @@ class TestPersistence:
         assert load_model(path).scaler is None
 
     def test_version_error(self, tmp_path):
+        # v1, whose blocks were rows of decimal floats, no longer loads
         path = tmp_path / "m.model"
-        path.write_text("LSTMPROG v9\ninput 1 layers 1 hidden 2 output 1 loss mse\n")
-        with pytest.raises(ModelVersionError):
-            load_model(path)
+        for magic in ("LSTMPROG v9", "LSTMPROG v1"):
+            path.write_text(f"{magic}\ninput 1 layers 1 hidden 2 output 1 loss mse\n")
+            with pytest.raises(ModelVersionError, match="expected v2 or v3"):
+                load_model(path)
 
     def test_non_positive_sizes_are_corruption(self, tmp_path):
         path = tmp_path / "m.model"
-        path.write_text("LSTMPROG v1\ninput 1 layers 1 hidden -2 output 1 loss mse\n"
+        path.write_text("LSTMPROG v3\ninput 1 layers 1 hidden -2 output 1 loss mse\n"
                         "block Wi -2 1\n")
         with pytest.raises(ModelCorruptionError, match="header"):
             load_model(path)
@@ -505,51 +522,45 @@ class TestPersistence:
             load_model(path)
 
     def test_truncation_reports_byte_offset(self, tmp_path):
-        params = self._model()
         path = tmp_path / "m.model"
-        save_model(params, path)
-        text = path.read_text()
-        cut = int(len(text) * 0.6)
-        # cut on a line boundary so the remaining rows parse cleanly up to EOF
-        cut = text.rfind("\n", 0, cut)
-        path.write_text(text[:cut + 1])
-        with pytest.raises(ModelCorruptionError, match="byte"):
-            load_model(path)
+        save_model(self._model(), path)
+        raw = path.read_bytes()
+        payload = split_v3(path)[1]
+        # cut in the block table, at the data line, and in the payload
+        for cut in (raw.index(b"block Vf"), len(raw) - len(payload) - 1, int(len(raw) * 0.9)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ModelCorruptionError, match=f"truncated at byte {cut}"):
+                load_model(path)
 
     def test_shape_inconsistency(self, tmp_path):
-        params = self._model()
         path = tmp_path / "m.model"
-        save_model(params, path)
-        text = path.read_text().replace("block Wi 4 1", "block Wi 3 1", 1)
-        path.write_text(text)
+        save_model(self._model(), path)
+        path.write_bytes(path.read_bytes().replace(b"block Wi 4 1", b"block Wi 3 1", 1))
         with pytest.raises(ModelCorruptionError):
             load_model(path)
 
     def test_wrong_block_order_detected(self, tmp_path):
-        params = self._model()
         path = tmp_path / "m.model"
-        save_model(params, path)
-        text = path.read_text().replace("block Vi 4 4", "block Vf 4 4", 1)
-        path.write_text(text)
+        save_model(self._model(), path)
+        path.write_bytes(path.read_bytes().replace(b"block Vi 4 4", b"block Vf 4 4", 1))
         with pytest.raises(ModelCorruptionError):
             load_model(path)
 
     def test_trailing_data_detected(self, tmp_path):
-        params = self._model()
-        path = tmp_path / "m.model"
-        save_model(params, path)
-        path.write_text(path.read_text() + "0.5 0.5\n")
-        with pytest.raises(ModelCorruptionError, match="trailing"):
-            load_model(path)
+        v3, path = tmp_path / "v3.model", tmp_path / "m.model"
+        save_model(self._model(), v3)
+        for source in (v3, PINNED_V2):
+            path.write_bytes(source.read_bytes() + b"0.5 0.5\n")
+            with pytest.raises(ModelCorruptionError, match="trailing"):
+                load_model(path)
 
     def test_non_numeric_weight(self, tmp_path):
-        params = self._model()
-        path = tmp_path / "m.model"
-        save_model(params, path)
-        lines = path.read_text().splitlines()
+        # a v2 data line that is not base64; a v3 payload holds raw floats
+        lines = PINNED_V2.read_text().splitlines()
         lines[4] = "not_a_number"
+        path = tmp_path / "m.model"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ModelCorruptionError):
+        with pytest.raises(ModelCorruptionError, match="block Wi: data line is not base64"):
             load_model(path)
 
     @settings(max_examples=30, deadline=None)
@@ -580,11 +591,21 @@ class TestPersistence:
         params = init_params(TrainConfig(hidden_dims=(2,), window=7), 1)
         path = tmp_path / "m.model"
         save_model(params, path)
-        assert path.read_text().splitlines()[1].endswith(" loss mse window 7")
+        assert split_v3(path)[0][1].endswith(" loss mse window 7")
         assert load_model(path).window == 7
-        save_model(replace(params, window=None), path)
-        assert "window" not in path.read_text().splitlines()[1]
-        assert load_model(path).window is None
+
+    def test_model_without_window_saves_and_loads(self, tmp_path):
+        # a model built in code records no window; it still saves and loads,
+        # and then predicts windows of any length
+        params = replace(init_params(TrainConfig(hidden_dims=(2,), window=7), 1), window=None)
+        path = tmp_path / "m.model"
+        save_model(params, path)
+        assert "window" not in split_v3(path)[0][1]
+        back = load_model(path)
+        assert back.window is None and np.array_equal(back.theta, params.theta)
+        for w in (1, 5, 9):
+            window = np.linspace(0.1, 0.9, w)[None, :]
+            assert predict_windows(back, window)[0] == predict_windows(params, window)[0]
 
     @pytest.mark.parametrize("header", [
         "input 1 layers 1 hidden 2 output 1 loss mse window 0",
@@ -593,58 +614,100 @@ class TestPersistence:
     ])
     def test_bad_window_in_header_is_corruption(self, tmp_path, header):
         path = tmp_path / "m.model"
-        path.write_text(f"LSTMPROG v2\n{header}\nblock Wi 2 1\n")
+        path.write_text(f"LSTMPROG v3\n{header}\nblock Wi 2 1\n")
         with pytest.raises(ModelCorruptionError, match="header"):
             load_model(path)
 
-    @pytest.mark.parametrize("version", ["v1", "v2"])
+    @pytest.mark.parametrize("version", ["v2", "v3"])
     def test_input_size_other_than_one_is_corruption(self, tmp_path, version):
         path = tmp_path / "m.model"
-        if version == "v1":
-            path.write_text((DATA / "v1_stack_3_2.model").read_text())
+        if version == "v2":
+            path.write_bytes(PINNED_V2.read_bytes())
         else:
             save_model(self._model(), path)
-        text = path.read_text()
-        assert "\ninput 1 " in text
-        path.write_text(text.replace("\ninput 1 ", "\ninput 2 ", 1))
+        raw = path.read_bytes()
+        assert b"\ninput 1 " in raw
+        path.write_bytes(raw.replace(b"\ninput 1 ", b"\ninput 2 ", 1))
         with pytest.raises(ModelCorruptionError, match="unsupported input size 2"):
             load_model(path)
 
-    def test_v1_header_takes_no_window(self, tmp_path):
-        lines = (DATA / "v1_stack_3_2.model").read_text().splitlines()
-        lines[1] += " window 4"
-        path = tmp_path / "m.model"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ModelCorruptionError, match="header"):
-            load_model(path)
+    def test_block_data_is_one_base64_line(self):
+        lines = PINNED_V2.read_text().splitlines()
+        at = lines.index("block Vf 3 3") + 1
+        raw = binascii.a2b_base64(lines[at])
+        assert raw == dict(load_model(PINNED_V2).blocks())["layer1.Vf"].astype("<f8").tobytes()
+        assert lines[at + 1] == "block bf 1 3"
 
-    def test_block_data_is_one_base64_line(self, tmp_path):
+    def test_payload_is_the_blocks_in_file_order(self, tmp_path):
         params = self._model()
         path = tmp_path / "m.model"
         save_model(params, path)
-        lines = path.read_text().splitlines()
-        at = lines.index("block Vf 4 4") + 1
-        raw = binascii.a2b_base64(lines[at])
-        assert raw == dict(params.blocks())["layer1.Vf"].astype("<f8").tobytes()
-        assert lines[at + 1] == "block bf 1 4"
+        lines, payload = split_v3(path)
+        names = [name for name, _ in params.blocks()]
+        assert lines[:3] == ["LSTMPROG v3", "input 1 layers 2 hidden 4 3 output 1 loss mse window 5",
+                             "scaler 0.017 1.93"]
+        assert [line.split()[1] for line in lines[3:-1]] == [n.split(".")[-1] for n in names]
+        assert lines[-1] == f"data {8 * param_count((4, 3))}"
+        assert payload == b"".join(b.astype("<f8").tobytes() for _, b in params.blocks())
 
     @pytest.mark.parametrize("payload, message", [
         ("not_base64!", "block Vf: data line is not base64"),
-        ("AAAAAAAAAAA=", "block Vf: data holds 8 bytes, expected 128"),
+        ("AAAAAAAAAAA=", "block Vf: data holds 8 bytes, expected 72"),
         ("AAAA AAAA", "block Vf: data line is not base64"),
     ])
     def test_bad_block_data_names_the_block(self, tmp_path, payload, message):
+        lines = PINNED_V2.read_text().splitlines()
+        lines[lines.index("block Vf 3 3") + 1] = payload
         path = tmp_path / "m.model"
-        save_model(self._model(), path)
-        lines = path.read_text().splitlines()
-        lines[lines.index("block Vf 4 4") + 1] = payload
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ModelCorruptionError, match=message):
             load_model(path)
 
+    @pytest.mark.parametrize("defect, message", [
+        ("short", "data truncated at byte {end_short}: block Wr lacks 1 bytes"),
+        ("count", "expected the data line 'data {size}', 8 bytes per parameter, found 'data {less}'"),
+        ("trailing", "trailing data at byte {end}: "),
+        ("no-data-line", "data line"),
+        ("table", "expected 'block Vi 4 4' from the header's sizes, found 'block Vi 4 3'"),
+        ("nan", "non-finite weights in block layer2.Vo"),
+    ])
+    def test_v3_defects_are_named(self, tmp_path, defect, message):
+        params = self._model(with_scaler=False)
+        path = tmp_path / "m.model"
+        save_model(params, path)
+        lines, payload = split_v3(path)
+        end, size = path.stat().st_size, 8 * param_count((4, 3))
+        if defect == "short":
+            payload = payload[:-1]
+        elif defect == "count":
+            lines[-1] = f"data {size - 8}"
+        elif defect == "trailing":
+            payload += b"\n"
+        elif defect == "no-data-line":
+            lines.pop()
+        elif defect == "table":
+            lines[3] = "block Vi 4 3"
+        else:
+            theta = params.theta.copy()
+            dict(params.blocks(theta))["layer2.Vo"][1, 2] = np.nan
+            payload = b"".join(b.astype("<f8").tobytes() for _, b in params.blocks(theta))
+        join_v3(path, lines, payload)
+        message = message.format(end=end, end_short=end - 1, size=size, less=size - 8)
+        with pytest.raises(ModelCorruptionError, match=message):
+            load_model(path)
+
+    def test_v3_with_crlf_line_ends_is_corruption(self, tmp_path):
+        # a v3 file passed through text-mode newline translation: its payload
+        # can no longer be trusted, so it must not load
+        path = tmp_path / "m.model"
+        save_model(self._model(), path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        with pytest.raises(ModelCorruptionError, match="LSTMPROG v3 must be the first line"):
+            load_model(path)
+
     @pytest.mark.parametrize("scaler", ["scaler 2.0 1.0", "scaler nan 1.0", "scaler 0.5"])
     def test_bad_scaler_line_is_corruption(self, tmp_path, scaler):
-        lines = (DATA / "v1_stack_3_2.model").read_text().splitlines()
+        lines = PINNED_V2.read_text().splitlines()
         lines[2] = scaler
         path = tmp_path / "m.model"
         path.write_text("\n".join(lines) + "\n")
@@ -652,14 +715,13 @@ class TestPersistence:
             load_model(path)
 
     def test_crlf_file_loads(self, tmp_path):
-        params = self._model()
+        # newline translation applies to v2, a text format, only
         path = tmp_path / "m.model"
-        save_model(params, path)
-        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        assert np.array_equal(load_model(path).theta, params.theta)
+        path.write_bytes(PINNED_V2.read_bytes().replace(b"\n", b"\r\n"))
+        assert np.array_equal(load_model(path).theta, load_model(PINNED_V2).theta)
 
     def test_non_utf8_byte_is_corruption(self, tmp_path):
-        data = bytearray((DATA / "v1_stack_3_2.model").read_bytes())
+        data = bytearray(PINNED_V2.read_bytes())
         data[40] = 0xFF
         path = tmp_path / "m.model"
         path.write_bytes(bytes(data))
@@ -668,7 +730,7 @@ class TestPersistence:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        version=st.sampled_from(("v1", "v2")),
+        version=st.sampled_from(("v2", "v3")),
         damage=st.one_of(
             st.tuples(st.just("truncate"), st.floats(0.0, 1.0), st.just(0)),
             st.tuples(st.just("flip"), st.floats(0.0, 1.0), st.integers(1, 255)),
@@ -676,10 +738,10 @@ class TestPersistence:
     )
     def test_damaged_files_fail_closed(self, tmp_path_factory, version, damage):
         kind, where, mask = damage
-        data = bytearray((DATA / "v1_stack_3_2.model").read_bytes())
+        data = bytearray(PINNED_V2.read_bytes())
         path = tmp_path_factory.mktemp("damaged") / "m.model"
-        if version == "v2":
-            save_model(replace(load_model(DATA / "v1_stack_3_2.model"), window=4), path)
+        if version == "v3":
+            save_model(replace(load_model(PINNED_V2), window=4), path)
             data = bytearray(path.read_bytes())
         at = min(int(where * len(data)), len(data) - 1)
         if kind == "truncate":
@@ -692,21 +754,37 @@ class TestPersistence:
         except (ModelFormatError, ModelVersionError, ModelCorruptionError):
             pass
 
-    def test_pinned_v1_file(self, tmp_path):
-        # a 3/2 model trained and written by the per-gate (12 blocks per
-        # layer) implementation that preceded the stacked-gate layout
-        pinned = DATA / "v1_stack_3_2.model"
-        params = load_model(pinned)
+    def test_load_peak_memory_is_near_the_payload(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(init_params(TrainConfig(hidden_dims=(128, 64)), 1), path)
+        payload = 8 * param_count((128, 64))
+        load_model(path)
+        tracemalloc.start()
+        try:
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * payload, f"peak {peak} B for a {payload} B payload"
+
+    def test_pinned_v2_file(self, tmp_path):
+        # a 3/2 model trained by the per-gate (12 blocks per layer)
+        # implementation that preceded the stacked-gate layout, frozen in v2
+        params = load_model(PINNED_V2)
         assert params.hidden_dims == (3, 2)
         assert params.scaler == MinMaxScaler(0.017, 1.93)
         assert params.window is None
-        # v1 is read only: the re-saved v2 file loads back to the same model
-        resaved, again = tmp_path / "v2.model", tmp_path / "again.model"
+        windows = np.array([[0.1, 0.35, 0.6, 0.85], [0.9, 0.7, 0.5, 0.3]])
+        y = predict_windows(params, windows)
+        assert [v.hex() for v in y] == ["-0x1.e845dafd609ecp-3", "-0x1.b9aa1ebfcc1aap-2"]
+        # v2 is read only: saving writes v3 with the same bits
+        resaved, again = tmp_path / "v3.model", tmp_path / "again.model"
         save_model(params, resaved)
+        assert resaved.read_bytes().startswith(b"LSTMPROG v3\n")
         back = load_model(resaved)
-        assert np.array_equal(back.theta, params.theta)
+        assert back.theta.tobytes() == params.theta.tobytes()
         assert back.scaler == params.scaler and back.hidden_dims == params.hidden_dims
+        assert back.window is None
+        assert predict_windows(back, windows).tobytes() == y.tobytes()
         save_model(back, again)
         assert again.read_bytes() == resaved.read_bytes()
-        y = predict_windows(params, np.array([[0.1, 0.35, 0.6, 0.85], [0.9, 0.7, 0.5, 0.3]]))
-        assert [v.hex() for v in y] == ["-0x1.e845dafd609ecp-3", "-0x1.b9aa1ebfcc1aap-2"]
