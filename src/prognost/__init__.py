@@ -3,8 +3,8 @@ from-scratch stacked-LSTM training, and forecast evaluation.
 
 A process that imports prognost before numpy runs OpenBLAS on one thread
 unless OPENBLAS_NUM_THREADS says otherwise: the model's products are too
-small for BLAS threads to pay, and predict_windows spreads rows over the
-cores instead.
+small for BLAS threads to pay, and predict_windows and train spread their
+work over the cores instead.
 """
 
 import os

@@ -23,10 +23,12 @@ Gradients and optimizer moments are vectors of the same layout.
 from __future__ import annotations
 
 import binascii
+import contextlib
 import contextvars
 import io
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass, field, replace
 
@@ -181,7 +183,7 @@ class ModelParams:
         if self.window is not None and not self.window >= 1:
             raise ValidationError(f"window must be a positive length, got {self.window}")
         theta = self.theta
-        # keep a read-only vector that owns its memory (load_model's): copying re-faults it
+        # keep a read-only vector that owns its memory (load_model's, adam_step's) uncopied
         if not (isinstance(theta, np.ndarray) and theta.dtype == np.float64
                 and theta.base is None and not theta.flags.writeable):
             theta = frozen_copy(theta)
@@ -348,27 +350,39 @@ def _as_windows(windows) -> np.ndarray:
     return windows
 
 
+def _forward_groups(m: ModelParams, bounds: list, xs, steps: list, batch: int, tops: list):
+    """Forward the layer groups between ``bounds``, one per worker, each a step
+    _behind the one before (the first runs here); ``tops`` gets the last h."""
+    layers = range(bounds[0], bounds[1])
+    h = [np.zeros((batch, m.hidden_dims[li])) for li in layers]
+    c = [np.zeros_like(a) for a in h]
+    with (_behind(lambda ys: _forward_groups(m, bounds[1:], ys, steps, batch, tops))
+          if len(bounds) > 2 else contextlib.nullcontext(tops.append)) as hand_on:
+        for t, x in enumerate(xs):
+            for j, li in enumerate(layers):
+                h[j], c[j], steps[t][li] = lstm_cell_forward(m.layers[li], x, h[j], c[j])
+                x = h[j]
+            hand_on(x)
+
+
 def forward_windows(m: ModelParams, windows: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Predict a batch of windows at once, keeping every step for BPTT.
 
     Rows are independent samples. State starts at zero for every window,
-    so a window's prediction depends only on its own W values.
+    so a window's prediction depends only on its own W values. With several
+    workers (_workers) the layers run as a wavefront (arXiv:1604.01946,
+    _forward_groups); every cell rounds as on one thread.
     """
     windows = _as_windows(windows)
     batch, w = windows.shape
-    h = [np.zeros((batch, d)) for d in m.hidden_dims]
-    c = [np.zeros((batch, d)) for d in m.hidden_dims]
-    steps: list[list[CellCache]] = []
-    for t in range(w):
-        x = windows[:, t : t + 1]
-        caches = []
-        for li, layer in enumerate(m.layers):
-            h[li], c[li], cache = lstm_cell_forward(layer, x, h[li], c[li])
-            x = h[li]
-            caches.append(cache)
-        steps.append(caches)
-    y, interior = _head(m, h[-1])
-    return y, ForwardCache(m, steps, h[-1], y, interior)
+    n_layers = len(m.layers)
+    groups = min(_workers(), n_layers)
+    bounds = [n_layers * j // groups for j in range(groups + 1)]
+    steps: list[list[CellCache]] = [[None] * n_layers for _ in range(w)]
+    tops: list[np.ndarray] = []
+    _forward_groups(m, bounds, (windows[:, t : t + 1] for t in range(w)), steps, batch, tops)
+    y, interior = _head(m, tops[-1])
+    return y, ForwardCache(m, steps, tops[-1], y, interior)
 
 
 def forward_window(m: ModelParams, window) -> float:
@@ -379,14 +393,52 @@ def forward_window(m: ModelParams, window) -> float:
     return float(predict_windows(m, window[None, :])[0])
 
 
-def _predict_workers() -> int:
-    """Threads predict_windows may use: one per usable core when OpenBLAS
+def _workers() -> int:
+    """Threads any prognost call may use: one per usable core when OpenBLAS
     runs on one thread, else one, since BLAS threads then share the cores."""
     if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
         return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _threads(calls):
+    """Run each ``(fn, *args)`` of ``calls`` on its own thread, in a copy of the
+    caller's context (its np.errstate); join all on exit, raising any error."""
+    failures: list[BaseException] = []
+
+    def guarded(fn, *args):
+        try:
+            fn(*args)
+        except BaseException as exc:
+            failures.append(exc)
+
+    helpers: list[threading.Thread] = []
+    try:
+        for call in calls:
+            helper = threading.Thread(target=contextvars.copy_context().run, args=(guarded, *call))
+            helper.start()
+            helpers.append(helper)
+        yield
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[0]
+
+
+@contextlib.contextmanager
+def _behind(consume):
+    """Run ``consume(items)`` on a helper thread (_threads), where ``items``
+    yields, in order, what the body passes to the function this yields."""
+    q = queue.SimpleQueue()
+    with _threads([(consume, (x for (x,) in iter(q.get, None)))]):
+        try:
+            yield lambda x: q.put((x,))
+        finally:
+            q.put(None)
 
 
 def _cuts(n: int, parts: int) -> list[int]:
@@ -396,14 +448,12 @@ def _cuts(n: int, parts: int) -> list[int]:
     return [min(n, 8 * (math.ceil(n / 8) * j // parts)) for j in range(parts + 1)]
 
 
-def _predict_share(m: ModelParams, windows: np.ndarray, y: np.ndarray, rows: int,
-                   failures: list) -> None:
+def _predict_share(m: ModelParams, windows: np.ndarray, y: np.ndarray, rows: int) -> None:
     """Forward ``windows`` into ``y`` in parts of at most ``rows`` rows.
 
     Each layer's (gates, rec, h, c, tanh_c) arrays are allocated once, sized
     for the largest part, and every step writes into them with
-    PREDICT_BUFSIZE ufunc buffers. An exception is appended to
-    ``failures``, for the calling thread to raise.
+    PREDICT_BUFSIZE ufunc buffers.
     """
     cuts = _cuts(len(windows), max(1, math.ceil(len(windows) / rows)))
     size = max(hi - lo for lo, hi in zip(cuts, cuts[1:]))
@@ -420,8 +470,6 @@ def _predict_share(m: ModelParams, windows: np.ndarray, y: np.ndarray, rows: int
                 for layer, out in zip(m.layers, outs):
                     x, _, _ = lstm_cell_forward(layer, x, out[2], out[3], out)
             y[lo:hi] = _head(m, x)[0]
-    except BaseException as exc:
-        failures.append(exc)
     finally:
         np.setbufsize(bufsize)
 
@@ -429,35 +477,23 @@ def _predict_share(m: ModelParams, windows: np.ndarray, y: np.ndarray, rows: int
 def predict_windows(m: ModelParams, windows: np.ndarray) -> np.ndarray:
     """Batch predictions without caches, PREDICT_ROWS rows in flight at most.
 
-    Rows are independent, so when OpenBLAS runs on one thread the batch is
-    cut into one contiguous share per core, each forwarded in parts of at
-    most PREDICT_ROWS / workers rows. The calling thread works the first
-    share and helper threads, run in copies of the caller's context (its
-    np.errstate), the others. The steps round as forward_windows does, so a
-    single window predicts the same bits on both paths, and the result does
-    not depend on the number of workers. On 10,000 windows of the 128/64
-    stack (2-core Xeon, OpenBLAS 0.3.31, one thread) a call took about
-    700 ms on one worker and 430 ms on two.
+    Rows are independent, so with several workers (_workers) the batch is
+    cut into one contiguous share per worker, each forwarded in parts of at
+    most PREDICT_ROWS / workers rows. The steps round as forward_windows
+    does, so a single window predicts the same bits on both paths, and the
+    result does not depend on the number of workers. On 10,000 windows of
+    the 128/64 stack (2-core Xeon, OpenBLAS 0.3.31, one thread) a call took
+    about 700 ms on one worker and 430 ms on two.
     """
     windows = _as_windows(windows)
     n = len(windows)
     y = np.empty(n)
-    workers = _predict_workers()
+    workers = _workers()
     rows = max(8, PREDICT_ROWS // workers // 8 * 8)
     cuts = _cuts(n, max(1, min(workers, math.ceil(n / rows))))
-    failures: list[BaseException] = []
-    shares = [(windows[lo:hi], y[lo:hi], rows, failures) for lo, hi in zip(cuts, cuts[1:])]
-    helpers = [
-        threading.Thread(target=contextvars.copy_context().run, args=(_predict_share, m, *share))
-        for share in shares[1:]
-    ]
-    for helper in helpers:
-        helper.start()
-    _predict_share(m, *shares[0])
-    for helper in helpers:
-        helper.join()
-    if failures:
-        raise failures[0]
+    shares = [(m, windows[lo:hi], y[lo:hi], rows) for lo, hi in zip(cuts, cuts[1:])]
+    with _threads((_predict_share, *share) for share in shares[1:]):
+        _predict_share(*shares[0])
     return y
 
 

@@ -8,6 +8,7 @@ Adam step per batch.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +24,10 @@ from .model import (
     BCE_CLIP,
     ForwardCache,
     ModelParams,
+    _behind,
+    _cuts,
+    _threads,
+    _workers,
     fill_param_vector,
     forward_windows,
     init_params,
@@ -177,12 +182,22 @@ def compute_loss(pred, target, mode: str = "mse") -> tuple[float, np.ndarray]:
     raise ValueError(f"loss mode must be 'mse' or 'bce', got {mode!r}")
 
 
+def _accumulate(cells) -> None:
+    for gl, dgates, cc in cells:
+        gl.W[...] += dgates.T @ cc.x
+        gl.V[...] += dgates.T @ cc.h_prev
+        gl.b[...] += dgates.sum(axis=0)
+
+
 def bptt_backward(m: ModelParams, cache: ForwardCache, dloss_dy) -> np.ndarray:
     """Exact reverse-mode gradients through all steps and layers, as one
     vector laid out like ``m.theta``.
 
     ``dloss_dy`` is dLoss/dprediction, one scalar per window in the batch
     (a bare scalar is accepted for a single window).
+
+    With several workers (_workers) a helper thread adds the weight
+    products _behind the chain, in the same cell order, keeping the bits.
     """
     if cache is None or cache.params is not m:
         raise ContractError("backward pass needs the cache from a matching forward call")
@@ -206,34 +221,33 @@ def bptt_backward(m: ModelParams, cache: ForwardCache, dloss_dy) -> np.ndarray:
     dc_next = [np.zeros((batch, d)) for d in m.hidden_dims]
     dh_next[-1] = dh_next[-1] + dz[:, None] @ m.w_r
 
-    for t in range(len(cache.steps) - 1, -1, -1):
-        for li in range(n_layers - 1, -1, -1):
-            cc = cache.steps[t][li]
-            p = m.layers[li]
-            gl = grad_layers[li]
-            d = p.hidden_size
-            i, f, o, g = (cc.gates[:, n * d : (n + 1) * d] for n in range(4))
+    inline = contextlib.nullcontext(lambda cell: _accumulate([cell]))
+    with _behind(_accumulate) if _workers() > 1 else inline as hand_on:
+        for t in range(len(cache.steps) - 1, -1, -1):
+            for li in range(n_layers - 1, -1, -1):
+                cc = cache.steps[t][li]
+                p = m.layers[li]
+                d = p.hidden_size
+                i, f, o, g = (cc.gates[:, n * d : (n + 1) * d] for n in range(4))
 
-            dh = dh_next[li]
-            dc = dc_next[li] + dh * o * (1.0 - cc.tanh_c * cc.tanh_c)
-            # Pre-activation gradients in the column order of cc.gates.
-            dgates = np.concatenate(
-                [
-                    dc * g * i * (1.0 - i),
-                    dc * cc.c_prev * f * (1.0 - f),
-                    dh * cc.tanh_c * o * (1.0 - o),
-                    dc * i * (1.0 - g * g),
-                ],
-                axis=1,
-            )
-            gl.W[...] += dgates.T @ cc.x
-            gl.V[...] += dgates.T @ cc.h_prev
-            gl.b[...] += dgates.sum(axis=0)
+                dh = dh_next[li]
+                dc = dc_next[li] + dh * o * (1.0 - cc.tanh_c * cc.tanh_c)
+                # Pre-activation gradients in the column order of cc.gates.
+                dgates = np.concatenate(
+                    [
+                        dc * g * i * (1.0 - i),
+                        dc * cc.c_prev * f * (1.0 - f),
+                        dh * cc.tanh_c * o * (1.0 - o),
+                        dc * i * (1.0 - g * g),
+                    ],
+                    axis=1,
+                )
+                hand_on((grad_layers[li], dgates, cc))
 
-            dh_next[li] = dgates @ p.V
-            dc_next[li] = dc * f
-            if li > 0:
-                dh_next[li - 1] = dh_next[li - 1] + dgates @ p.W
+                dh_next[li] = dgates @ p.V
+                dc_next[li] = dc * f
+                if li > 0:
+                    dh_next[li - 1] = dh_next[li - 1] + dgates @ p.W
     return grads
 
 
@@ -249,6 +263,7 @@ def adam_step(
 
     ``s`` is advanced in place and returned; a non-finite gradient raises
     before it changes. Each value is rounded in the order the formula reads.
+    Each worker (_workers) updates one share, into a fresh theta it keeps.
     """
     if not np.isfinite(g).all():
         block = m.block_at(int(np.argmax(~np.isfinite(g))))
@@ -256,25 +271,34 @@ def adam_step(
     s.t += 1
     bc1 = 1.0 - ADAM_BETA1**s.t
     bc2 = 1.0 - ADAM_BETA2**s.t
-    tmp = s.scratch
-    s.m *= ADAM_BETA1
-    s.m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
-    s.v *= ADAM_BETA2
-    np.multiply(g, g, out=tmp)
-    tmp *= 1.0 - ADAM_BETA2
-    s.v += tmp
-    np.divide(s.v, bc2, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += ADAM_EPSILON
-    step = np.divide(s.m, bc1)
-    step *= cfg.learning_rate
-    step /= tmp
-    return m.with_theta(np.subtract(m.theta, step, out=step)), s
+    theta = np.empty_like(m.theta)
+
+    def share(lo: int, hi: int) -> None:
+        mom, var, tmp, step = s.m[lo:hi], s.v[lo:hi], s.scratch[lo:hi], theta[lo:hi]
+        mom *= ADAM_BETA1
+        mom += np.multiply(g[lo:hi], 1.0 - ADAM_BETA1, out=tmp)
+        var *= ADAM_BETA2
+        np.multiply(g[lo:hi], g[lo:hi], out=tmp)
+        tmp *= 1.0 - ADAM_BETA2
+        var += tmp
+        np.divide(var, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPSILON
+        np.divide(mom, bc1, out=step)
+        step *= cfg.learning_rate
+        step /= tmp
+        np.subtract(m.theta[lo:hi], step, out=step)
+
+    cuts = _cuts(theta.size, _workers())
+    with _threads((share, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])):
+        share(cuts[0], cuts[1])
+    theta.flags.writeable = False
+    return m.with_theta(theta), s
 
 
 def _clip_gradients(g: np.ndarray, max_norm: float) -> np.ndarray:
     norm = float(np.sqrt(g @ g))
-    if norm <= max_norm or norm == 0.0:
+    if not max_norm < norm < np.inf:  # a NaN/inf norm: leave g for adam_step to name
         return g
     return g * (max_norm / norm)
 

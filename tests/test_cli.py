@@ -590,6 +590,25 @@ class TestBlasThreads:
         assert outputs[0] == outputs[1]
 
 
+    def test_train_and_grad_check_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # unset and "1" train on both cores (wavefront, BPTT hand-off, Adam
+        # shares) where there are two; "2" trains on one
+        clean = make_clean_series(tmp_path, n=300)
+        cfg = write_config(tmp_path, hidden_dims="8,6,4", epochs="3", batch_size="16")
+        outputs = []
+        for threads in (None, "1", "2"):
+            out = tmp_path / str(threads)
+            out.mkdir()
+            fresh_python(["-m", "prognost.cli", "train", "--in", str(clean), "--config", str(cfg),
+                          "--model-out", str(out / "m.model"),
+                          "--report-out", str(out / "report.csv")], threads)
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+            checked = fresh_python(["-m", "prognost.cli", "grad-check", "--dims", "3,2"], threads)
+            outputs.append((files, checked))
+        assert len(outputs[0][0]) == 2 and "OK:" in outputs[0][1]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
 class TestUsageContract:
     def test_unknown_flag_fatal(self, tmp_path):
         assert run(["gen-fixture", "--kind", "sine", "--n", "50",

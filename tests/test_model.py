@@ -4,6 +4,7 @@ import binascii
 import math
 import os
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -34,6 +35,7 @@ from prognost.model import (
     forward_windows,
     layer_zeros,
     param_count,
+    param_views,
     predict_windows,
     sigmoid,
 )
@@ -47,7 +49,8 @@ def zero_model(dims=(3,), loss_mode="mse"):
 
 
 def use_cores(mp, cores):
-    """Let predict_windows spread rows over ``cores`` workers."""
+    """Give every threaded phase ``cores`` workers: predict_windows' row
+    shares, and train's forward wavefront, BPTT hand-off and Adam shares."""
     mp.setenv("OPENBLAS_NUM_THREADS", "1")
     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
 
@@ -433,6 +436,48 @@ class TestForwardWindow:
                 assert predict_windows(params, windows).tobytes() == serial.tobytes()
         finally:
             sys.setswitchinterval(interval)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dims=st.sampled_from([(5,), (8, 4), (6, 5, 4)]),
+        loss_mode=st.sampled_from(LOSS_MODES),
+        n=st.integers(1, 60),
+        w=st.integers(1, 6),
+        cores=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_wavefront_keeps_the_serial_caches(self, dims, loss_mode, n, w, cores, seed):
+        params = init_params(TrainConfig(hidden_dims=dims, loss_mode=loss_mode), seed % 1000)
+        windows = np.random.Generator(np.random.PCG64(seed)).uniform(-1, 1, size=(n, w))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("OPENBLAS_NUM_THREADS", "2")
+            y, serial = forward_windows(params, windows)
+            use_cores(mp, cores)
+            y_par, parallel = forward_windows(params, windows)
+        assert y.tobytes() == y_par.tobytes()
+        assert serial.head_input.tobytes() == parallel.head_input.tobytes()
+        for step, step_par in zip(serial.steps, parallel.steps, strict=True):
+            for cc, cc_par in zip(step, step_par, strict=True):
+                for name in ("x", "h_prev", "c_prev", "gates", "tanh_c"):
+                    assert getattr(cc, name).tobytes() == getattr(cc_par, name).tobytes()
+
+    def test_wavefront_raises_a_helpers_error_and_leaves_no_thread(self, monkeypatch):
+        # at 3 cores each of the 3 layers has its own thread; only layer 2's
+        # input product overflows, on a helper thread
+        use_cores(monkeypatch, 3)
+        dims = (3, 3, 3)
+        theta = np.zeros(param_count(dims))
+        layers, _ = param_views(theta, dims)
+        layers[0].W[...] = 1.0
+        layers[1].W[...] = 1.7e308
+        m = ModelParams(theta, dims)
+        before = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            forward_windows(m, np.ones((4, 5)))
+        assert threading.active_count() == before
+        with np.errstate(all="ignore"):
+            y, _ = forward_windows(m, np.ones((4, 5)))
+        assert y.shape == (4,) and threading.active_count() == before
 
     def test_bce_mode_head_is_sigmoid(self):
         params = init_params(TrainConfig(hidden_dims=(3,), loss_mode="bce"), 5)

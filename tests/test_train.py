@@ -1,10 +1,14 @@
 """Loss gradients, BPTT vs finite differences, Adam, and the epoch loop."""
 
 import math
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prognost import (
     ConfigError,
@@ -33,7 +37,9 @@ from prognost.train import (
     write_report_csv,
 )
 
-from test_model import zero_model
+from test_model import use_cores, zero_model
+
+TRAIN = sys.modules["prognost.train"]  # the module; prognost.train is the function
 
 
 def tiny_split(n=40, window=5, seed=3):
@@ -185,6 +191,46 @@ class TestBpttBackward:
             worst = max(c.max_rel_err for c in checks)
             assert worst < 1e-5, f"{mode}: {worst}"
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dims=st.sampled_from([(5,), (8, 4), (6, 5, 4)]),
+        loss_mode=st.sampled_from(["mse", "bce"]),
+        n=st.integers(1, 40),
+        cores=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_parallel_gradients_keep_the_serial_bits(self, dims, loss_mode, n, cores, seed):
+        params = init_params(TrainConfig(hidden_dims=dims, loss_mode=loss_mode), seed % 1000)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        windows = rng.uniform(-1, 1, size=(n, 5))
+        y, cache = forward_windows(params, windows)
+        _, dldy = compute_loss(y, rng.uniform(0, 1, n), loss_mode)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("OPENBLAS_NUM_THREADS", "2")
+            serial = bptt_backward(params, cache, dldy)
+            use_cores(mp, cores)
+            parallel = bptt_backward(params, cache, dldy)
+        assert serial.tobytes() == parallel.tobytes()
+
+    @pytest.mark.parametrize("where", ["caller", "helper"])
+    def test_parallel_error_does_not_hang_or_leave_a_thread(self, monkeypatch, where):
+        # the calling thread runs the chain; the helper adds weight products
+        use_cores(monkeypatch, 2)
+        params = init_params(TrainConfig(hidden_dims=(8, 4)), 3)
+        _, cache = forward_windows(params, np.full((6, 5), 0.5))
+        if where == "caller":
+            cache.steps[1][0].tanh_c = None  # the chain fails at its 8th cell
+        else:
+            def accumulate(cells):
+                next(iter(cells))
+                raise TypeError("helper failed")
+
+            monkeypatch.setattr(TRAIN, "_accumulate", accumulate)
+        before = threading.active_count()
+        with pytest.raises(TypeError):
+            bptt_backward(params, cache, np.ones(6))
+        assert threading.active_count() == before
+
     def test_glorot_point_fd_agreement_mixed_tolerance(self):
         # sign-diverse initialization: coordinates near cancellation zeros are
         # held to an absolute bound, everything else to a relative one
@@ -231,6 +277,15 @@ def adam_oracle(theta, g, m, v, t, lr):
 
 class TestAdamStep:
     def test_in_place_step_keeps_the_oracle_bits(self):
+        self.check_oracle_bits()
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_parallel_step_keeps_the_oracle_bits(self, monkeypatch, cores):
+        use_cores(monkeypatch, cores)
+        self.check_oracle_bits()
+
+    @staticmethod
+    def check_oracle_bits():
         cfg = TrainConfig(hidden_dims=(6, 3), learning_rate=0.003)
         params = init_params(cfg, 4)
         state = AdamState.zeros(params)
@@ -245,6 +300,14 @@ class TestAdamStep:
             assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
     def test_non_finite_gradient_leaves_the_state_alone(self):
+        self.check_state_left_alone()
+
+    def test_non_finite_gradient_leaves_the_state_alone_on_two_cores(self, monkeypatch):
+        use_cores(monkeypatch, 2)
+        self.check_state_left_alone()
+
+    @staticmethod
+    def check_state_left_alone():
         cfg = TrainConfig(hidden_dims=(2,))
         params = init_params(cfg, 1)
         state = AdamState.zeros(params)
@@ -412,6 +475,60 @@ class TestTrainLoop:
         cfg = TrainConfig(hidden_dims=(4,), epochs=3, seed=5, max_grad_norm=1.0)
         _, report = train(tiny_split(), cfg)
         assert all(np.isfinite(v) for v in report.train_loss)
+
+    def test_clipped_nan_gradient_names_its_block(self, monkeypatch):
+        # a NaN makes the norm NaN; clipping must not smear it over every block
+        def nan_in_vf(m, cache, dldy):
+            grads = np.zeros_like(m.theta)
+            dict(m.blocks(grads))["layer1.Vf"][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(TRAIN, "bptt_backward", nan_in_vf)
+        cfg = TrainConfig(hidden_dims=(3,), epochs=1, max_grad_norm=1.0)
+        with pytest.raises(GradientError, match="layer1.Vf"):
+            train(tiny_split(), cfg)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        dims=st.sampled_from([(4,), (5, 3), (4, 3, 2)]),
+        loss_mode=st.sampled_from(["mse", "bce"]),
+        max_grad_norm=st.sampled_from([None, 0.05]),
+        n=st.integers(20, 50),
+        batch_size=st.sampled_from([4, 7, 11]),
+        seed=st.integers(0, 1000),
+    )
+    def test_train_keeps_its_bits_on_any_number_of_cores(
+        self, dims, loss_mode, max_grad_norm, n, batch_size, seed
+    ):
+        # batch sizes that leave a short last batch in most examples
+        split = tiny_split(n=n, seed=seed)
+        cfg = TrainConfig(hidden_dims=dims, loss_mode=loss_mode, max_grad_norm=max_grad_norm,
+                          batch_size=batch_size, epochs=2, seed=seed)
+        runs = []
+        for cores in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                use_cores(mp, cores)
+                params, report = train(split, cfg)
+            runs.append((params.theta.tobytes(),
+                         np.array(report.train_loss + report.test_rmse).tobytes()))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_parallel_train_under_thread_stress(self, monkeypatch):
+        # more workers than cores, switching threads every few microseconds
+        split = tiny_split(n=60)
+        cfg = TrainConfig(hidden_dims=(6, 4, 3), epochs=2, batch_size=9, seed=2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        serial, _ = train(split, cfg)
+        use_cores(monkeypatch, 8)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert train(split, cfg)[0].theta.tobytes() == serial.theta.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
 
     def test_max_grad_norm_config_file_none(self, tmp_path):
         path = tmp_path / "cfg"
