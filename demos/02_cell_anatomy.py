@@ -34,6 +34,17 @@ c0 = np.array([0.8, -0.4, 0.0])
 h, c, _ = lstm_cell_forward(p, np.array([0.7]), np.zeros(3), c0)
 print(f"carried state: c = 0.5*c0 = {c},  h = 0.5*tanh(c) = {h}")
 
+# ---- the zero state: every window starts at h = c = 0 -----------------------
+# None stands for that state: the step skips Vh and f * c_prev, which are
+# exact zeros, and gives the values of the step on explicit zero arrays.
+p8 = init_params(TrainConfig(hidden_dims=(8,)), seed=3).layers[0]
+x0 = np.array([[0.2], [-0.6]])
+h_none, c_none, _ = lstm_cell_forward(p8, x0, None, None)
+h_zero, c_zero, _ = lstm_cell_forward(p8, x0, np.zeros((2, 8)), np.zeros((2, 8)))
+same = np.array_equal(h_none, h_zero) and np.array_equal(c_none, c_zero)
+print(f"\nfirst step from None equals the step from explicit zeros: {same}")
+assert same
+
 # ---- a trained-shape stack: one scalar in, one scalar out --------------------
 params = init_params(TrainConfig(hidden_dims=(8, 4)), seed=7)
 window = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
@@ -46,6 +57,8 @@ cc = cache.steps[step][layer]
 d = params.hidden_dims[layer]
 print(f"step {step + 1}, layer {layer + 1}: gate array {cc.gates.shape}, "
       f"forget gate {cc.gates[0, d : 2 * d]}")
+print(f"step 1 caches no zero state: h_prev {cache.steps[0][layer].h_prev}, "
+      f"c_prev {cache.steps[0][layer].c_prev}")
 print(f"hidden state feeding the regression head: {cache.head_input[0]}")
 
 # gates live strictly inside (0,1), so |h| < 1 no matter the input

@@ -202,6 +202,14 @@ def _is_missing(token: str) -> bool:
     return token.strip() == ""
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_cell(token: str, row: int, what: str) -> float:
     try:
         return float(token)
@@ -216,9 +224,10 @@ def load_csv_series(
 ) -> SnapshotSeries:
     """Read a delimiter-separated series file into a SnapshotSeries.
 
-    A single header line is auto-detected (its value cell fails numeric
-    parsing). Empty value cells import as NaN so fill_missing can repair
-    them. Without a timestamp column, indices 0,1,2,... are synthesized.
+    A single header line is auto-detected: its value cell fails numeric
+    parsing or, in a first row too short for the columns, every cell does.
+    Empty value cells import as NaN so fill_missing can repair them.
+    Without a timestamp column, indices 0,1,2,... are synthesized.
     """
     if min(value_column, timestamp_column or 0) < 0:
         raise ConfigError(f"column indices must be >= 0, got {value_column} and {timestamp_column}")
@@ -231,16 +240,11 @@ def load_csv_series(
     needed = value_column if timestamp_column is None else max(value_column, timestamp_column)
 
     first_row = lines[0][1].split(",")
-    has_header = False
     if len(first_row) > needed:
         tok = first_row[value_column]
-        if not _is_missing(tok):
-            try:
-                float(tok)
-            except ValueError:
-                has_header = True
-    else:
-        has_header = True
+        has_header = not _is_missing(tok) and not _is_number(tok)
+    else:  # too short for a data row; a header only if no cell is a number
+        has_header = not any(map(_is_number, first_row))
     if has_header:
         lines = lines[1:]
         if not lines:

@@ -252,8 +252,8 @@ class CellCache:
     each, in GATES order."""
 
     x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
+    h_prev: np.ndarray | None
+    c_prev: np.ndarray | None
     gates: np.ndarray
     tanh_c: np.ndarray
 
@@ -273,11 +273,14 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def lstm_cell_forward(
     p: LayerParams,
     x: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
+    h_prev: np.ndarray | None,
+    c_prev: np.ndarray | None,
     out: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, CellCache | None]:
     """One cell step on plain vectors or on (batch, dim) matrices.
+
+    ``h_prev`` or ``c_prev`` None is a window's zero state: the step skips
+    ``h_prev V^T`` or ``f * c_prev``, exact zeros, for the same values.
 
     ``out`` is (gates, rec, h, c, tanh_c): two (..., 4d) and three (..., d)
     arrays the step writes into instead of allocating. ``h`` and ``c`` may
@@ -285,18 +288,14 @@ def lstm_cell_forward(
     then returns no cache, since the next step overwrites what it holds.
     """
     x = np.asarray(x, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    c_prev = np.asarray(c_prev, dtype=np.float64)
+    h_prev, c_prev = (a if a is None else np.asarray(a, dtype=np.float64) for a in (h_prev, c_prev))
     d, k = p.hidden_size, p.input_size
-    lead = x.shape[:-1]
-    if (
-        x.ndim not in (1, 2)
-        or x.shape[-1] != k
-        or h_prev.shape != lead + (d,)
-        or c_prev.shape != lead + (d,)
+    shapes = [a if a is None else a.shape for a in (h_prev, c_prev)]
+    if x.ndim not in (1, 2) or x.shape[-1] != k or any(
+        s not in (None, x.shape[:-1] + (d,)) for s in shapes
     ):
         raise ValueError(
-            f"shape mismatch: x {x.shape}, h_prev {h_prev.shape}, c_prev {c_prev.shape} "
+            f"shape mismatch: x {x.shape}, h_prev {shapes[0]}, c_prev {shapes[1]} "
             f"for a {d}x{k} layer"
         )
     fresh = out is None
@@ -310,13 +309,17 @@ def lstm_cell_forward(
         gates = np.multiply(x, p.W[:, 0], out=gates)
     else:
         gates = np.matmul(x, p.W.T, out=gates)
-    gates += np.matmul(h_prev, p.V.T, out=rec)
+    if h_prev is not None:
+        gates += np.matmul(h_prev, p.V.T, out=rec)
     gates += p.b
     sigmoid(gates[..., : 3 * d], out=gates[..., : 3 * d])
     np.tanh(gates[..., 3 * d :], out=gates[..., 3 * d :])
     i, f, o, g = (gates[..., n * d : (n + 1) * d] for n in range(4))
-    c = np.multiply(f, c_prev, out=c)
-    c += np.multiply(i, g, out=tanh_c)
+    if c_prev is None:
+        c = np.multiply(i, g, out=c)
+    else:
+        c = np.multiply(f, c_prev, out=c)
+        c += np.multiply(i, g, out=tanh_c)
     tanh_c = np.tanh(c, out=tanh_c)
     h = np.multiply(o, tanh_c, out=h)
     return h, c, CellCache(x, h_prev, c_prev, gates, tanh_c) if fresh else None
@@ -350,13 +353,13 @@ def _as_windows(windows) -> np.ndarray:
     return windows
 
 
-def _forward_groups(m: ModelParams, bounds: list, xs, steps: list, batch: int, tops: list):
+def _forward_groups(m: ModelParams, bounds: list, xs, steps: list, tops: list):
     """Forward the layer groups between ``bounds``, one per worker, each a step
-    _behind the one before (the first runs here); ``tops`` gets the last h."""
+    _behind the one before (the first runs here) from the zero state, None;
+    ``tops`` gets the last h."""
     layers = range(bounds[0], bounds[1])
-    h = [np.zeros((batch, m.hidden_dims[li])) for li in layers]
-    c = [np.zeros_like(a) for a in h]
-    with (_behind(lambda ys: _forward_groups(m, bounds[1:], ys, steps, batch, tops))
+    h, c = [None] * len(layers), [None] * len(layers)
+    with (_behind(lambda ys: _forward_groups(m, bounds[1:], ys, steps, tops))
           if len(bounds) > 2 else contextlib.nullcontext(tops.append)) as hand_on:
         for t, x in enumerate(xs):
             for j, li in enumerate(layers):
@@ -374,13 +377,13 @@ def forward_windows(m: ModelParams, windows: np.ndarray) -> tuple[np.ndarray, Fo
     _forward_groups); every cell rounds as on one thread.
     """
     windows = _as_windows(windows)
-    batch, w = windows.shape
+    w = windows.shape[1]
     n_layers = len(m.layers)
     groups = min(_workers(), n_layers)
     bounds = [n_layers * j // groups for j in range(groups + 1)]
     steps: list[list[CellCache]] = [[None] * n_layers for _ in range(w)]
     tops: list[np.ndarray] = []
-    _forward_groups(m, bounds, (windows[:, t : t + 1] for t in range(w)), steps, batch, tops)
+    _forward_groups(m, bounds, (windows[:, t : t + 1] for t in range(w)), steps, tops)
     y, interior = _head(m, tops[-1])
     return y, ForwardCache(m, steps, tops[-1], y, interior)
 
@@ -453,7 +456,7 @@ def _predict_share(m: ModelParams, windows: np.ndarray, y: np.ndarray, rows: int
 
     Each layer's (gates, rec, h, c, tanh_c) arrays are allocated once, sized
     for the largest part, and every step writes into them with
-    PREDICT_BUFSIZE ufunc buffers.
+    PREDICT_BUFSIZE ufunc buffers; step 0 starts from the zero state, None.
     """
     cuts = _cuts(len(windows), max(1, math.ceil(len(windows) / rows)))
     size = max(hi - lo for lo, hi in zip(cuts, cuts[1:]))
@@ -462,13 +465,11 @@ def _predict_share(m: ModelParams, windows: np.ndarray, y: np.ndarray, rows: int
         buffers = [[np.empty((size, k)) for k in (4 * d, 4 * d, d, d, d)] for d in m.hidden_dims]
         for lo, hi in zip(cuts, cuts[1:]):
             outs = [[a[: hi - lo] for a in layer_buffers] for layer_buffers in buffers]
-            for _, _, h, c, _ in outs:
-                h.fill(0.0)
-                c.fill(0.0)
             for t in range(windows.shape[1]):
                 x = windows[lo:hi, t : t + 1]
                 for layer, out in zip(m.layers, outs):
-                    x, _, _ = lstm_cell_forward(layer, x, out[2], out[3], out)
+                    state = (out[2], out[3]) if t else (None, None)
+                    x, _, _ = lstm_cell_forward(layer, x, *state, out)
             y[lo:hi] = _head(m, x)[0]
     finally:
         np.setbufsize(bufsize)

@@ -93,8 +93,8 @@ _CONFIG_PARSERS = {
 
 
 def parse_config_file(path) -> TrainConfig:
-    """Read ``key = value`` lines; keys match TrainConfig field names."""
-    values = {}
+    """Read ``key = value`` lines; keys match TrainConfig field names, once each."""
+    values, seen = {}, {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -105,6 +105,9 @@ def parse_config_file(path) -> TrainConfig:
         key = key.strip()
         if key not in _CONFIG_PARSERS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"config line {lineno}: {key} repeats line {seen[key]}")
+        seen[key] = lineno
         try:
             values[key] = _CONFIG_PARSERS[key](raw.strip())
         except ValueError:
@@ -185,7 +188,8 @@ def compute_loss(pred, target, mode: str = "mse") -> tuple[float, np.ndarray]:
 def _accumulate(cells) -> None:
     for gl, dgates, cc in cells:
         gl.W[...] += dgates.T @ cc.x
-        gl.V[...] += dgates.T @ cc.h_prev
+        if cc.h_prev is not None:
+            gl.V[...] += dgates.T @ cc.h_prev
         gl.b[...] += dgates.sum(axis=0)
 
 
@@ -198,6 +202,9 @@ def bptt_backward(m: ModelParams, cache: ForwardCache, dloss_dy) -> np.ndarray:
 
     With several workers (_workers) a helper thread adds the weight
     products _behind the chain, in the same cell order, keeping the bits.
+    Terms that are exact zeros (from step 0's zero state, None in its
+    cache, or from no later step at the last) or that feed a step -1 are
+    skipped, keeping the bits.
     """
     if cache is None or cache.params is not m:
         raise ContractError("backward pass needs the cache from a matching forward call")
@@ -217,9 +224,9 @@ def bptt_backward(m: ModelParams, cache: ForwardCache, dloss_dy) -> np.ndarray:
     grad_w_r += dz[None, :] @ cache.head_input
 
     n_layers = len(m.layers)
-    dh_next = [np.zeros((batch, d)) for d in m.hidden_dims]
-    dc_next = [np.zeros((batch, d)) for d in m.hidden_dims]
-    dh_next[-1] = dh_next[-1] + dz[:, None] @ m.w_r
+    # None: no gradient yet from a later step or from the layer above
+    dh_next, dc_next = [None] * n_layers, [None] * n_layers
+    dh_next[-1] = dz[:, None] @ m.w_r
 
     inline = contextlib.nullcontext(lambda cell: _accumulate([cell]))
     with _behind(_accumulate) if _workers() > 1 else inline as hand_on:
@@ -231,12 +238,14 @@ def bptt_backward(m: ModelParams, cache: ForwardCache, dloss_dy) -> np.ndarray:
                 i, f, o, g = (cc.gates[:, n * d : (n + 1) * d] for n in range(4))
 
                 dh = dh_next[li]
-                dc = dc_next[li] + dh * o * (1.0 - cc.tanh_c * cc.tanh_c)
+                dc = dh * o * (1.0 - cc.tanh_c * cc.tanh_c)
+                if dc_next[li] is not None:
+                    dc += dc_next[li]
                 # Pre-activation gradients in the column order of cc.gates.
                 dgates = np.concatenate(
                     [
                         dc * g * i * (1.0 - i),
-                        dc * cc.c_prev * f * (1.0 - f),
+                        np.zeros_like(dc) if cc.c_prev is None else dc * cc.c_prev * f * (1.0 - f),
                         dh * cc.tanh_c * o * (1.0 - o),
                         dc * i * (1.0 - g * g),
                     ],
@@ -244,10 +253,12 @@ def bptt_backward(m: ModelParams, cache: ForwardCache, dloss_dy) -> np.ndarray:
                 )
                 hand_on((grad_layers[li], dgates, cc))
 
-                dh_next[li] = dgates @ p.V
-                dc_next[li] = dc * f
+                if t:  # step 0 feeds no step -1
+                    dh_next[li] = dgates @ p.V
+                    dc_next[li] = dc * f
                 if li > 0:
-                    dh_next[li - 1] = dh_next[li - 1] + dgates @ p.W
+                    below = dgates @ p.W
+                    dh_next[li - 1] = below if dh_next[li - 1] is None else dh_next[li - 1] + below
     return grads
 
 

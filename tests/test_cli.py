@@ -296,6 +296,8 @@ FLAG_MISUSE = {
     "grad-check-seed-negative": ["grad-check", "--dims", "2", "--seed", "-1"],
     "seed-negative": ["train", "--in", "{clean}", "--model-out", "{out}",
                       "--report-out", "{out}2", "--config", "{seed_cfg}"],
+    "config-key-repeated": ["train", "--in", "{clean}", "--model-out", "{out}",
+                            "--report-out", "{out}2", "--config", "{repeat_cfg}"],
 }
 
 
@@ -307,7 +309,9 @@ def test_flag_misuse_is_usage_error(tmp_path, capsys, argv):
     (ims / "2004.02.12.10.32.39").write_text("0.1\t0.2\n0.3\t0.4\n")
     paths = {"clean": clean, "raw": tmp_path / "raw.csv", "ims": ims, "out": tmp_path / "out",
              "inf_cfg": write_config(tmp_path, "inf.cfg", learning_rate="inf"),
-             "seed_cfg": write_config(tmp_path, "seed.cfg", seed="-1")}
+             "seed_cfg": write_config(tmp_path, "seed.cfg", seed="-1"),
+             "repeat_cfg": tmp_path / "repeat.cfg"}
+    paths["repeat_cfg"].write_text("hidden_dims = 6\nepochs = 2\n# again\nepochs = 3\n")
     capsys.readouterr()
     assert run([arg.format(**paths) for arg in argv]) == 1
     assert capsys.readouterr().err.startswith("configuration error: ")

@@ -349,6 +349,26 @@ class TestLoadCsvSeries:
         with pytest.raises(ParseError, match="row 3"):
             load_csv_series(path, value_column=0)
 
+    @pytest.mark.parametrize("body", ["5\n1,2\n2,3\n3,4\n", "1,2\n5\n2,3\n"])
+    def test_short_numeric_row_is_a_data_error_first_or_later(self, tmp_path, capsys, body):
+        from prognost.cli import run
+
+        path = tmp_path / "s.csv"
+        path.write_text(body)
+        row = body.splitlines().index("5") + 1
+        with pytest.raises(ParseError, match=f"row {row}: expected at least 2 columns, got 1"):
+            load_csv_series(path, value_column=1, timestamp_column=0)
+        out = tmp_path / "o.csv"
+        assert run(["ingest", "--csv", str(path), "--ts-col", "0", "--value-col", "1",
+                    "--out", str(out)]) == 2
+        assert f"row {row}: expected" in capsys.readouterr().err and not out.exists()
+
+    def test_short_header_row_is_skipped(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("series 7\n0,1.5\n60,1.7\n")
+        series = load_csv_series(path, value_column=1, timestamp_column=0)
+        np.testing.assert_array_equal(series.values, [1.5, 1.7])
+
     def test_empty_cell_becomes_nan(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("t,v\n0,1.0\n1,\n2,2.0\n")

@@ -31,6 +31,7 @@ from prognost.model import (
     BCE_CLIP,
     LOSS_MODES,
     PREDICT_ROWS,
+    LayerParams,
     ModelParams,
     forward_windows,
     layer_zeros,
@@ -223,6 +224,47 @@ class TestCellForward:
         p = layer_zeros(1, 3)
         with pytest.raises(ValueError):
             lstm_cell_forward(p, np.zeros(2), np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match="h_prev None, c_prev"):
+            lstm_cell_forward(p, np.zeros((2, 1)), None, np.zeros((3, 3)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        batch=st.integers(1, 60),
+        d=st.integers(1, 16),
+        k=st.sampled_from([1, 4]),
+        negative_zero_bias=st.booleans(),
+        buffered=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_none_state_equals_explicit_zeros(self, batch, d, k, negative_zero_bias, buffered,
+                                              seed):
+        # Compared with ==, not as bytes: the explicit call adds +0.0 terms
+        # (h_prev V^T, f * c_prev) that turn a -0.0 into +0.0, and the None
+        # call skips them. That happens where a -0.0 bias meets a -0.0 input
+        # product, or where i * g is -0.0 (a saturated i = 0 with g < 0). The
+        # two zeros are equal values; no nonzero value may differ.
+        rng = np.random.Generator(np.random.PCG64(seed))
+        p = LayerParams(rng.uniform(-1, 1, (4 * d, k)), rng.uniform(-1, 1, (4 * d, d)),
+                        np.full(4 * d, -0.0) if negative_zero_bias
+                        else rng.uniform(-1, 1, 4 * d))
+        # zeros of both signs, ordinary inputs, and inputs that saturate gates
+        x = rng.choice([0.0, -0.0, 0.3, -0.8, 900.0, -900.0], (batch, k))
+
+        def step(h_prev, c_prev):
+            if not buffered:
+                h, c, cache = lstm_cell_forward(p, x, h_prev, c_prev)
+                return h, c, cache.gates, cache.tanh_c
+            out = [np.full((batch, n), np.nan) for n in (4 * d, 4 * d, d, d, d)]
+            if h_prev is not None:  # advance the state in place, as _predict_share does
+                out[2], out[3] = h_prev, c_prev
+            h, c, _ = lstm_cell_forward(p, x, h_prev, c_prev, tuple(out))
+            return h, c, out[0], out[4]
+
+        with np.errstate(over="ignore"):
+            skipped = step(None, None)
+            explicit = step(np.zeros((batch, d)), np.zeros((batch, d)))
+        for name, a, b in zip(("h", "c", "gates", "tanh_c"), skipped, explicit):
+            assert a.shape == b.shape and np.all(a == b), name
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -456,10 +498,14 @@ class TestForwardWindow:
             y_par, parallel = forward_windows(params, windows)
         assert y.tobytes() == y_par.tobytes()
         assert serial.head_input.tobytes() == parallel.head_input.tobytes()
-        for step, step_par in zip(serial.steps, parallel.steps, strict=True):
+        for t, (step, step_par) in enumerate(zip(serial.steps, parallel.steps, strict=True)):
             for cc, cc_par in zip(step, step_par, strict=True):
                 for name in ("x", "h_prev", "c_prev", "gates", "tanh_c"):
-                    assert getattr(cc, name).tobytes() == getattr(cc_par, name).tobytes()
+                    a, b = getattr(cc, name), getattr(cc_par, name)
+                    if name in ("h_prev", "c_prev") and t == 0:  # the zero state
+                        assert a is None and b is None
+                    else:
+                        assert a.tobytes() == b.tobytes()
 
     def test_wavefront_raises_a_helpers_error_and_leaves_no_thread(self, monkeypatch):
         # at 3 cores each of the 3 layers has its own thread; only layer 2's

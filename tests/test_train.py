@@ -100,6 +100,12 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_file(path)
 
+    def test_config_file_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "cfg"
+        path.write_text("epochs = 2\n\nwindow = 5\nepochs = 3\n")
+        with pytest.raises(ConfigError, match="config line 4: epochs repeats line 1"):
+            parse_config_file(path)
+
     def test_config_file_bad_value(self, tmp_path):
         path = tmp_path / "cfg"
         path.write_text("epochs = many\n")
@@ -548,6 +554,23 @@ class TestGradCheck:
         names = [c.block for c in checks]
         assert names[0] == "layer1.Wi" and names[-1] == "Wr"
         assert len(names) == 13
+
+    @pytest.mark.parametrize("dims, window", [((4, 3), 1), ((4, 3, 2), 5), ((3, 3, 2), 1)])
+    def test_gate_holds_at_window_1_and_on_three_layers(self, dims, window):
+        # at window 1 step 0, which starts from the zero state, is also the last step
+        for mode in ("mse", "bce"):
+            checks = grad_check(TrainConfig(hidden_dims=dims, window=window, loss_mode=mode),
+                                seed=7, eps=1e-6)
+            assert len(checks) == 12 * len(dims) + 1
+            assert max(c.max_rel_err for c in checks) < 1e-4, mode
+
+    def test_no_gradient_reaches_v_or_the_forget_gate_at_window_1(self):
+        params = init_params(TrainConfig(hidden_dims=(4, 3), window=1), 3)
+        y, cache = forward_windows(params, np.array([[0.4], [-0.7], [0.9]]))
+        grads = bptt_backward(params, cache, compute_loss(y, np.zeros(3))[1])
+        for name, block in params.blocks(grads):
+            label = name.rpartition(".")[2]
+            assert (label[0] == "V" or label[1:] == "f") == (not block.any()), name
 
     def test_worst_coordinate_is_reported(self):
         checks = grad_check(TrainConfig(hidden_dims=(2,)), seed=7, eps=1e-6)
