@@ -121,16 +121,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate",
-                       help="metrics and actual-vs-predicted trace for a trained model")
+                       help="metrics and actual-vs-predicted trace for a trained model, "
+                            "on windows as long as its file records")
     p.add_argument("--model", required=True, help="model file from train")
     p.add_argument("--in", dest="infile", required=True, help="cleaned series CSV")
     p.add_argument("--metrics-out", required=True, help="output metrics CSV")
     p.add_argument("--trace-out", required=True, help="output trace CSV")
     p.add_argument("--space", choices=("scaled", "original"), default="scaled",
                    help="report in scaled [0,1] space (default) or original units")
-    p.add_argument("--window", type=int, default=None,
-                   help="window length used at training time (default: the length the "
-                        "model records; 5 for a model that records none)")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("predict",
@@ -216,15 +214,8 @@ def _cmd_evaluate(args) -> int:
     params = load_model(args.model)
     if params.scaler is None:
         raise ConfigError(f"model {args.model} carries no scaler; retrain via the train subcommand")
-    if args.window is None:
-        args.window = params.window or preprocess.DEFAULT_WINDOW_LENGTH
-    elif params.window not in (None, args.window):
-        raise UsageError(
-            f"--window {args.window} does not match model {args.model}, "
-            f"trained on windows of {params.window}"
-        )
     series = ingest.read_series_csv(args.infile)
-    split = preprocess.prepare_eval_data(series, params.scaler, args.window)
+    split = preprocess.prepare_eval_data(series, params.scaler, params.window)
     trace = ev.trace_for_split(params, split, params.scaler, args.space)
     ev.write_trace_csv(trace, args.trace_out)
 
@@ -243,7 +234,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_predict(args) -> int:
     params = load_model(args.model)
     window = _parse_window_values(args.window)
-    if params.window not in (None, len(window)):
+    if len(window) != params.window:
         raise UsageError(
             f"--window has {len(window)} values; model {args.model} "
             f"was trained on windows of {params.window}"

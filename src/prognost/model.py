@@ -22,7 +22,6 @@ Gradients and optimizer moments are vectors of the same layout.
 
 from __future__ import annotations
 
-import binascii
 import contextlib
 import contextvars
 import io
@@ -46,7 +45,6 @@ from .preprocess import MinMaxScaler
 from .series import fmt_float, frozen_copy
 
 MODEL_MAGIC = "LSTMPROG v3"
-MODEL_MAGIC_V2 = "LSTMPROG v2"
 GATES = ("i", "f", "o", "c")
 LOSS_MODES = ("mse", "bce")
 
@@ -163,8 +161,10 @@ def fill_param_vector(hidden_dims, fill) -> np.ndarray:
 class ModelParams:
     """Full parameter set: one frozen vector ``theta`` with per-layer views
     ``layers`` and the head view ``w_r``, plus the optional scaler baked in
-    when the model is saved and the window length it was trained on (None
-    for a model built in code, which then takes windows of any length)."""
+    when the model is saved and the window length it was trained on, which
+    every model file records. Only a model built in code (grad_check's
+    probe, a test's) may lack a window; it takes windows of any length, and
+    save_model refuses it."""
 
     theta: np.ndarray
     hidden_dims: tuple[int, ...]
@@ -506,15 +506,18 @@ def _block_line(label: str, block: np.ndarray) -> str:
 def save_model(m: ModelParams, path) -> None:
     """Write format v3; load_model inverts it bitwise.
 
-    Text lines (magic, header, optional scaler, one ``block <name> <rows>
-    <cols>`` line per block in file order) end with ``data <bytes>``, and
-    the blocks' little-endian float64 values follow it, row-major and in
-    the same order, up to the end of the file.
+    Text lines (magic, header with the window, optional scaler, one ``block
+    <name> <rows> <cols>`` line per block in file order) end with ``data
+    <bytes>``, and the blocks' little-endian float64 values follow it,
+    row-major and in the same order, up to the end of the file. A model
+    without a window raises ValueError and writes nothing.
     """
+    if m.window is None:
+        raise ValueError("a model file records its window; this model has none")
     blocks = list(_file_blocks(m.theta, m.hidden_dims))
     dims = " ".join(str(d) for d in m.hidden_dims)
-    header = f"input 1 layers {len(m.layers)} hidden {dims} output 1 loss {m.loss_mode}"
-    lines = [MODEL_MAGIC, header if m.window is None else f"{header} window {m.window}"]
+    lines = [MODEL_MAGIC, f"input 1 layers {len(m.layers)} hidden {dims} output 1 "
+                          f"loss {m.loss_mode} window {m.window}"]
     if m.scaler is not None:
         lines.append(f"scaler {fmt_float(m.scaler.min)} {fmt_float(m.scaler.max)}")
     lines += [_block_line(label, block) for label, block in blocks] + [f"data {m.theta.nbytes}"]
@@ -549,7 +552,7 @@ class _LineReader:
         )
 
 
-def _parse_header(line: str) -> tuple[tuple[int, ...], str, int | None]:
+def _parse_header(line: str) -> tuple[tuple[int, ...], str, int]:
     tokens = line.split()
     try:
         if tokens[0] != "input" or tokens[2] != "layers":
@@ -560,18 +563,10 @@ def _parse_header(line: str) -> tuple[tuple[int, ...], str, int | None]:
             raise ValueError
         dims = tuple(int(t) for t in tokens[5 : 5 + n_layers])
         rest = tokens[5 + n_layers :]
-        if len(dims) != n_layers or rest[0] != "output" or rest[2] != "loss":
+        if len(dims) != n_layers or len(rest) != 6 or rest[::2] != ["output", "loss", "window"]:
             raise ValueError
-        output = int(rest[1])
-        loss_mode = rest[3]
-        window = None
-        if len(rest) == 6 and rest[4] == "window":
-            window = int(rest[5])
-            if window < 1:
-                raise ValueError
-        elif len(rest) != 4:
-            raise ValueError
-        if loss_mode not in LOSS_MODES or min(dims) < 1:
+        output, loss_mode, window = int(rest[1]), rest[3], int(rest[5])
+        if loss_mode not in LOSS_MODES or min(dims) < 1 or window < 1:
             raise ValueError
     except (ValueError, IndexError):
         raise ModelCorruptionError(f"malformed model header line: {line!r}") from None
@@ -580,19 +575,6 @@ def _parse_header(line: str) -> tuple[tuple[int, ...], str, int | None]:
     if output != 1:
         raise ModelCorruptionError(f"unsupported output size {output}; this artifact uses 1")
     return dims, loss_mode, window
-
-
-def _read_base64_block(line: str, label: str, block: np.ndarray) -> None:
-    """Decode one v2 data line, the base64 of the block's values, into ``block``."""
-    try:
-        payload = binascii.a2b_base64(line, strict_mode=True)
-    except ValueError:
-        raise ModelCorruptionError(f"block {label}: data line is not base64") from None
-    if len(payload) != block.nbytes:
-        raise ModelCorruptionError(
-            f"block {label}: data holds {len(payload)} bytes, expected {block.nbytes}"
-        )
-    block[...] = np.frombuffer(payload, dtype="<f8").reshape(block.shape)
 
 
 def _read_payload(reader: _LineReader, blocks: list) -> None:
@@ -611,9 +593,15 @@ def _read_payload(reader: _LineReader, blocks: list) -> None:
                                        f"block {label} lacks {block.nbytes - got} bytes")
 
 
-def _read_model(reader: _LineReader, v3: bool) -> ModelParams:
+def _read_model(reader: _LineReader) -> ModelParams:
     """Everything after the magic line: header, scaler, blocks and their values."""
     dims, loss_mode, window = _parse_header(reader.next_line("header line"))
+    # the weights alone need 8 bytes a parameter: a header whose sizes the
+    # file cannot hold is a truncated file, not an allocation to attempt
+    size, nbytes = os.fstat(reader.stream.fileno()).st_size, 8 * param_count(dims)
+    if nbytes > size - reader.offset:
+        raise ModelCorruptionError(f"model file truncated at byte {size}: the header's sizes "
+                                   f"need {nbytes} bytes of weights after byte {reader.offset}")
     line = reader.next_line("first block")
     scaler = None
     if (tokens := line.split())[0] == "scaler":
@@ -633,14 +621,9 @@ def _read_model(reader: _LineReader, v3: bool) -> ModelParams:
                 f"expected {expected!r} from the header's sizes, found {line[:60]!r}"
             )
         line = None
-        if not v3:
-            _read_base64_block(reader.next_line(f"data of block {label}"), label, block)
-    if v3:
-        _read_payload(reader, blocks)
-    # v2, a text format, may end in blank lines; v3 ends with its last value
-    tail = reader.stream.read()
-    if tail.strip() or v3 and tail:
-        raise ModelCorruptionError(f"trailing data at byte {reader.offset}: {tail[:40]!r}")
+    _read_payload(reader, blocks)
+    if tail := reader.stream.read(40):
+        raise ModelCorruptionError(f"trailing data at byte {reader.offset}: {tail!r}")
     theta.flags.writeable = False
     try:
         return ModelParams(theta, dims, loss_mode, scaler, window)
@@ -649,25 +632,22 @@ def _read_model(reader: _LineReader, v3: bool) -> ModelParams:
 
 
 def load_model(path) -> ModelParams:
-    """Read a v3 or v2 model file; raises the specific error class for each defect.
+    """Read a v3 model file, its values straight into the parameter vector;
+    raises the specific error class for each defect.
 
-    A v3 file is read as bytes, its values straight into the parameter
-    vector. A v2 file is text, and its line ends are translated as text
-    mode does, so CRLF files load too.
+    The magic line is the file's first line, ended by LF alone: a file whose
+    line ends were translated holds a payload that can no longer be trusted.
+    Earlier versions (v1, v2) raise ModelVersionError.
     """
     with open(path, "rb") as f:
-        if f.readline() == MODEL_MAGIC.encode() + b"\n":
-            return _read_model(_LineReader(f, f.tell()), v3=True)
-        f.seek(0)
-        raw = f.read()
-    reader = _LineReader(io.BytesIO(raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")))
-    magic = reader.next_line("magic line")
+        first = f.readline(64)
+        if first == MODEL_MAGIC.encode() + b"\n":
+            return _read_model(_LineReader(f, len(first)))
+    magic = next(iter(first.decode("utf-8", "replace").splitlines()), "")
     if magic == MODEL_MAGIC:
         raise ModelCorruptionError(f"{MODEL_MAGIC} must be the first line, ended by LF alone")
-    if magic != MODEL_MAGIC_V2:
-        if magic.startswith("LSTMPROG "):
-            raise ModelVersionError(
-                f"unsupported model version {magic.split(' ', 1)[1]!r}; expected v2 or v3"
-            )
-        raise ModelFormatError(f"not a model file: first line {magic[:60]!r}")
-    return _read_model(reader, v3=False)
+    if magic.startswith("LSTMPROG "):
+        raise ModelVersionError(
+            f"unsupported model version {magic.split(' ', 1)[1]!r}; expected v3"
+        )
+    raise ModelFormatError(f"not a model file: first line {magic[:60]!r}")

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .series import SnapshotSeries, frozen_copy
 
-DEFAULT_WINDOW_LENGTH = 5
 SPLIT_RATIO = 0.7
 DEFAULT_OUTLIER_WINDOW = 11
 DEFAULT_OUTLIER_K = 5.0
@@ -259,7 +258,7 @@ def apply_scaler(
     return out, out_of_range
 
 
-def make_windows(series: SnapshotSeries, window_length: int = DEFAULT_WINDOW_LENGTH) -> WindowedDataset:
+def make_windows(series: SnapshotSeries, window_length: int) -> WindowedDataset:
     """Stride-1 windows of length W, each predicting the value after it."""
     if window_length < 1:
         raise ConfigError("window_length must be >= 1")
@@ -306,7 +305,7 @@ def _scaled_split(series: SnapshotSeries, scaler: MinMaxScaler, window_length: i
 
 def prepare_training_data(
     series: SnapshotSeries,
-    window_length: int = DEFAULT_WINDOW_LENGTH,
+    window_length: int,
 ) -> tuple[SplitDataset, MinMaxScaler]:
     """Scale, window and split a clean series without test leakage.
 
@@ -323,7 +322,7 @@ def prepare_training_data(
 def prepare_eval_data(
     series: SnapshotSeries,
     scaler: MinMaxScaler,
-    window_length: int = DEFAULT_WINDOW_LENGTH,
+    window_length: int,
 ) -> SplitDataset:
     """Scale with an existing (model-baked) scaler, then window and split."""
     series.require_finite("prepare_eval_data")

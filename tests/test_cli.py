@@ -17,7 +17,7 @@ from prognost.model import load_model, predict_windows
 from prognost.preprocess import apply_scaler
 
 ROOT = Path(__file__).resolve().parents[1]
-PINNED_V2 = ROOT / "tests" / "data" / "v2_stack_3_2.model"
+PINNED = ROOT / "tests" / "data" / "v3_stack_3_2.model"
 
 
 def make_clean_series(tmp_path, n=120, kind="sine"):
@@ -278,8 +278,6 @@ class TestTrainCommand:
 
 
 FLAG_MISUSE = {
-    "evaluate-window-0": ["evaluate", "--model", str(PINNED_V2), "--in", "{clean}",
-                          "--metrics-out", "{out}", "--trace-out", "{out}2", "--window", "0"],
     "outlier-window-4": ["preprocess", "--in", "{raw}", "--out", "{out}", "--outlier-window", "4"],
     "outlier-window-1": ["preprocess", "--in", "{raw}", "--out", "{out}", "--outlier-window", "1"],
     "outlier-k-0": ["preprocess", "--in", "{raw}", "--out", "{out}", "--outlier-k", "0"],
@@ -371,36 +369,23 @@ class TestEvaluateCommand:
             assert met.read_bytes() == expected.read_bytes()
 
     def test_window_defaults_to_the_models(self, tmp_path):
+        # the model file records its window, the one source of the window
         clean, model, _ = train_small(tmp_path, window=4)
-        blobs = []
-        for flags in ([], ["--window", "4"]):
-            met, trace = tmp_path / "met.csv", tmp_path / "trace.csv"
-            assert run(["evaluate", "--model", str(model), "--in", str(clean),
-                        "--metrics-out", str(met), "--trace-out", str(trace)] + flags) == 0
-            blobs.append((met.read_bytes(), trace.read_bytes()))
-        assert blobs[0] == blobs[1]
+        trace = tmp_path / "trace.csv"
+        assert run(["evaluate", "--model", str(model), "--in", str(clean),
+                    "--metrics-out", str(tmp_path / "met.csv"), "--trace-out", str(trace)]) == 0
         n_points = len(read_series_csv(clean))
         assert len(trace.read_text().splitlines()) - 1 == n_points - 4
 
     def test_other_window_than_the_models_is_usage_error(self, tmp_path, capsys):
+        # evaluate takes no window: there is none to give but the model's
         clean, model, _ = train_small(tmp_path)
         capsys.readouterr()
         assert run(["evaluate", "--model", str(model), "--in", str(clean),
                     "--metrics-out", str(tmp_path / "m.csv"),
                     "--trace-out", str(tmp_path / "t.csv"), "--window", "9"]) == 1
-        assert "trained on windows of 5" in capsys.readouterr().err
+        assert "unrecognized arguments: --window 9" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
-
-    def test_windowless_model_window_defaults_to_5(self, tmp_path):
-        # the pinned v2 file records no window, so any --window is taken as given
-        clean = make_clean_series(tmp_path)
-        n_points = len(read_series_csv(clean))
-        trace = tmp_path / "trace.csv"
-        for flags, windows in (([], n_points - 5), (["--window", "3"], n_points - 3)):
-            assert run(["evaluate", "--model", str(PINNED_V2), "--in", str(clean),
-                        "--metrics-out", str(tmp_path / "m.csv"),
-                        "--trace-out", str(trace)] + flags) == 0
-            assert len(trace.read_text().splitlines()) - 1 == windows
 
     def test_corrupt_model_is_data_error(self, tmp_path):
         clean = make_clean_series(tmp_path)
@@ -448,7 +433,7 @@ class TestPredictCommand:
         clean, model, _ = train_small(tmp_path)
         values = read_series_csv(clean).values
         capsys.readouterr()
-        for path in (model, PINNED_V2):
+        for path in (model, PINNED):
             params = load_model(path)
             for start in (0, 17, 40, len(values) - 5):
                 window = values[start : start + 5]
@@ -474,7 +459,7 @@ class TestPredictCommand:
     def test_nan_in_window_is_data_error(self, tmp_path, capsys):
         clean, model, _ = train_small(tmp_path)
         capsys.readouterr()
-        for path in (model, PINNED_V2):
+        for path in (model, PINNED):
             assert run(["predict", "--model", str(path), "--window", "nan,1,2,3,4"]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -482,10 +467,10 @@ class TestPredictCommand:
         assert run(["predict", "--model", str(model), "--window", "0.1,inf,0.3,0.4,0.5"]) == 2
 
     def test_negative_first_window_value(self, capsys):
-        glued = run(["predict", "--model", str(PINNED_V2), "--window=-0.5,1,1,1"])
+        glued = run(["predict", "--model", str(PINNED), "--window=-0.5,1,1,1,1"])
         expected = capsys.readouterr()
         assert glued == 0
-        assert run(["predict", "--model", str(PINNED_V2), "--window", "-0.5,1,1,1"]) == 0
+        assert run(["predict", "--model", str(PINNED), "--window", "-0.5,1,1,1,1"]) == 0
         assert capsys.readouterr() == expected
 
     def test_input_size_two_fails_at_load(self, tmp_path, capsys):
@@ -497,6 +482,24 @@ class TestPredictCommand:
         path.write_bytes(path.read_bytes().replace(b"input 1 ", b"input 2 ", 1))
         assert run(["predict", "--model", str(path), "--window", "0.1,0.2,0.3"]) == 2
         assert "unsupported input size 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("first_lines, message", [
+        ("LSTMPROG v2\ninput 1 layers 1 hidden 2 output 1 loss mse\n",
+         "unsupported model version 'v2'; expected v3"),
+        ("LSTMPROG v3\ninput 1 layers 1 hidden 2 output 1 loss mse\n",
+         "malformed model header line"),
+        ("LSTMPROG v3\ninput 1 layers 1 hidden 1000000 output 1 loss mse window 5\n",
+         "model file truncated at byte 100: "),
+    ], ids=["v2", "no-window", "oversized"])
+    def test_unloadable_model_is_data_error(self, tmp_path, capsys, first_lines, message):
+        path = tmp_path / "m.model"
+        path.write_bytes(first_lines.encode().ljust(100, b"x"))
+        capsys.readouterr()
+        assert run(["predict", "--model", str(path), "--window", "1,2,3,4,5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"data error: {message}")
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestBenchmarkTracerTargets:
@@ -642,14 +645,13 @@ class TestUsageContract:
                     "--metrics-out", str(metrics), "--trace-out", str(tmp_path / "t.csv")]
         capsys.readouterr()
         outputs = []
-        for argv in (evaluate, predict, evaluate + ["--space", "original", "--window", "4"],
-                     predict, evaluate):
+        for argv in (evaluate, predict, evaluate + ["--space", "original"], predict, evaluate):
             assert run(argv) == 0
             outputs.append((capsys.readouterr().out, metrics.read_bytes()))
         assert outputs[4] == outputs[0] and outputs[3][0] == outputs[1][0]
         assert "original" in outputs[2][0]
         args = build_parser().parse_args(evaluate)
-        assert (args.window, args.space) == (None, "scaled")
+        assert args.space == "scaled"
         assert set(vars(build_parser().parse_args(predict))) == {"command", "model", "window", "func"}
 
     def test_every_flag_documented(self):

@@ -1,6 +1,5 @@
 """LSTM cell math, stacked forward pass, initialization, persistence."""
 
-import binascii
 import math
 import os
 import sys
@@ -45,8 +44,8 @@ from prognost.preprocess import MinMaxScaler
 DATA = Path(__file__).parent / "data"
 
 
-def zero_model(dims=(3,), loss_mode="mse"):
-    return ModelParams(np.zeros(param_count(dims)), dims, loss_mode)
+def zero_model(dims=(3,), loss_mode="mse", window=5):
+    return ModelParams(np.zeros(param_count(dims)), dims, loss_mode, window=window)
 
 
 def use_cores(mp, cores):
@@ -546,7 +545,7 @@ class TestForwardWindow:
             ModelParams(theta, (4, 2))
 
 
-PINNED_V2 = DATA / "v2_stack_3_2.model"
+PINNED = DATA / "v3_stack_3_2.model"
 
 
 def split_v3(path):
@@ -592,16 +591,16 @@ class TestPersistence:
         assert load_model(path).scaler is None
 
     def test_version_error(self, tmp_path):
-        # v1, whose blocks were rows of decimal floats, no longer loads
+        # v1 (rows of decimal floats) and v2 (base64 text lines) no longer load
         path = tmp_path / "m.model"
-        for magic in ("LSTMPROG v9", "LSTMPROG v1"):
+        for magic in ("LSTMPROG v9", "LSTMPROG v1", "LSTMPROG v2"):
             path.write_text(f"{magic}\ninput 1 layers 1 hidden 2 output 1 loss mse\n")
-            with pytest.raises(ModelVersionError, match="expected v2 or v3"):
+            with pytest.raises(ModelVersionError, match="expected v3$"):
                 load_model(path)
 
     def test_non_positive_sizes_are_corruption(self, tmp_path):
         path = tmp_path / "m.model"
-        path.write_text("LSTMPROG v3\ninput 1 layers 1 hidden -2 output 1 loss mse\n"
+        path.write_text("LSTMPROG v3\ninput 1 layers 1 hidden -2 output 1 loss mse window 5\n"
                         "block Wi -2 1\n")
         with pytest.raises(ModelCorruptionError, match="header"):
             load_model(path)
@@ -623,6 +622,16 @@ class TestPersistence:
             with pytest.raises(ModelCorruptionError, match=f"truncated at byte {cut}"):
                 load_model(path)
 
+    def test_header_sizes_beyond_the_file_are_truncation(self, tmp_path):
+        # 8 bytes a parameter: the header's sizes are checked against the
+        # file's length before the parameter vector is allocated
+        path = tmp_path / "m.model"
+        header = b"LSTMPROG v3\ninput 1 layers 1 hidden 1000000 output 1 loss mse window 5\n"
+        path.write_bytes(header.ljust(100, b"x"))
+        with pytest.raises(ModelCorruptionError,
+                           match=f"truncated at byte 100: .* {8 * param_count((10**6,))} bytes"):
+            load_model(path)
+
     def test_shape_inconsistency(self, tmp_path):
         path = tmp_path / "m.model"
         save_model(self._model(), path)
@@ -640,19 +649,10 @@ class TestPersistence:
     def test_trailing_data_detected(self, tmp_path):
         v3, path = tmp_path / "v3.model", tmp_path / "m.model"
         save_model(self._model(), v3)
-        for source in (v3, PINNED_V2):
+        for source in (v3, PINNED):
             path.write_bytes(source.read_bytes() + b"0.5 0.5\n")
             with pytest.raises(ModelCorruptionError, match="trailing"):
                 load_model(path)
-
-    def test_non_numeric_weight(self, tmp_path):
-        # a v2 data line that is not base64; a v3 payload holds raw floats
-        lines = PINNED_V2.read_text().splitlines()
-        lines[4] = "not_a_number"
-        path = tmp_path / "m.model"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ModelCorruptionError, match="block Wi: data line is not base64"):
-            load_model(path)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -685,20 +685,19 @@ class TestPersistence:
         assert split_v3(path)[0][1].endswith(" loss mse window 7")
         assert load_model(path).window == 7
 
-    def test_model_without_window_saves_and_loads(self, tmp_path):
-        # a model built in code records no window; it still saves and loads,
-        # and then predicts windows of any length
+    def test_model_without_window_does_not_save(self, tmp_path):
+        # a model built in code may lack a window and predicts windows of
+        # any length, but a model file always records one
         params = replace(init_params(TrainConfig(hidden_dims=(2,), window=7), 1), window=None)
-        path = tmp_path / "m.model"
-        save_model(params, path)
-        assert "window" not in split_v3(path)[0][1]
-        back = load_model(path)
-        assert back.window is None and np.array_equal(back.theta, params.theta)
         for w in (1, 5, 9):
-            window = np.linspace(0.1, 0.9, w)[None, :]
-            assert predict_windows(back, window)[0] == predict_windows(params, window)[0]
+            assert np.isfinite(predict_windows(params, np.linspace(0.1, 0.9, w)[None, :])).all()
+        path = tmp_path / "m.model"
+        with pytest.raises(ValueError, match="records its window"):
+            save_model(params, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("header", [
+        "input 1 layers 1 hidden 2 output 1 loss mse",
         "input 1 layers 1 hidden 2 output 1 loss mse window 0",
         "input 1 layers 1 hidden 2 output 1 loss mse window",
         "input 1 layers 1 hidden 2 output 1 loss mse windows 5",
@@ -709,11 +708,11 @@ class TestPersistence:
         with pytest.raises(ModelCorruptionError, match="header"):
             load_model(path)
 
-    @pytest.mark.parametrize("version", ["v2", "v3"])
-    def test_input_size_other_than_one_is_corruption(self, tmp_path, version):
+    @pytest.mark.parametrize("source", ["v3", "pinned"])
+    def test_input_size_other_than_one_is_corruption(self, tmp_path, source):
         path = tmp_path / "m.model"
-        if version == "v2":
-            path.write_bytes(PINNED_V2.read_bytes())
+        if source == "pinned":
+            path.write_bytes(PINNED.read_bytes())
         else:
             save_model(self._model(), path)
         raw = path.read_bytes()
@@ -721,13 +720,6 @@ class TestPersistence:
         path.write_bytes(raw.replace(b"\ninput 1 ", b"\ninput 2 ", 1))
         with pytest.raises(ModelCorruptionError, match="unsupported input size 2"):
             load_model(path)
-
-    def test_block_data_is_one_base64_line(self):
-        lines = PINNED_V2.read_text().splitlines()
-        at = lines.index("block Vf 3 3") + 1
-        raw = binascii.a2b_base64(lines[at])
-        assert raw == dict(load_model(PINNED_V2).blocks())["layer1.Vf"].astype("<f8").tobytes()
-        assert lines[at + 1] == "block bf 1 3"
 
     def test_payload_is_the_blocks_in_file_order(self, tmp_path):
         params = self._model()
@@ -740,19 +732,6 @@ class TestPersistence:
         assert [line.split()[1] for line in lines[3:-1]] == [n.split(".")[-1] for n in names]
         assert lines[-1] == f"data {8 * param_count((4, 3))}"
         assert payload == b"".join(b.astype("<f8").tobytes() for _, b in params.blocks())
-
-    @pytest.mark.parametrize("payload, message", [
-        ("not_base64!", "block Vf: data line is not base64"),
-        ("AAAAAAAAAAA=", "block Vf: data holds 8 bytes, expected 72"),
-        ("AAAA AAAA", "block Vf: data line is not base64"),
-    ])
-    def test_bad_block_data_names_the_block(self, tmp_path, payload, message):
-        lines = PINNED_V2.read_text().splitlines()
-        lines[lines.index("block Vf 3 3") + 1] = payload
-        path = tmp_path / "m.model"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ModelCorruptionError, match=message):
-            load_model(path)
 
     @pytest.mark.parametrize("defect, message", [
         ("short", "data truncated at byte {end_short}: block Wr lacks 1 bytes"),
@@ -798,21 +777,16 @@ class TestPersistence:
 
     @pytest.mark.parametrize("scaler", ["scaler 2.0 1.0", "scaler nan 1.0", "scaler 0.5"])
     def test_bad_scaler_line_is_corruption(self, tmp_path, scaler):
-        lines = PINNED_V2.read_text().splitlines()
+        lines, payload = split_v3(PINNED)
+        assert lines[2].startswith("scaler ")
         lines[2] = scaler
         path = tmp_path / "m.model"
-        path.write_text("\n".join(lines) + "\n")
+        join_v3(path, lines, payload)
         with pytest.raises(ModelCorruptionError, match="scaler"):
             load_model(path)
 
-    def test_crlf_file_loads(self, tmp_path):
-        # newline translation applies to v2, a text format, only
-        path = tmp_path / "m.model"
-        path.write_bytes(PINNED_V2.read_bytes().replace(b"\n", b"\r\n"))
-        assert np.array_equal(load_model(path).theta, load_model(PINNED_V2).theta)
-
     def test_non_utf8_byte_is_corruption(self, tmp_path):
-        data = bytearray(PINNED_V2.read_bytes())
+        data = bytearray(PINNED.read_bytes())
         data[40] = 0xFF
         path = tmp_path / "m.model"
         path.write_bytes(bytes(data))
@@ -821,24 +795,25 @@ class TestPersistence:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        version=st.sampled_from(("v2", "v3")),
         damage=st.one_of(
             st.tuples(st.just("truncate"), st.floats(0.0, 1.0), st.just(0)),
             st.tuples(st.just("flip"), st.floats(0.0, 1.0), st.integers(1, 255)),
+            st.tuples(st.just("sizes"), st.integers(0, 1), st.integers(1, 10**15)),
         ),
     )
-    def test_damaged_files_fail_closed(self, tmp_path_factory, version, damage):
-        kind, where, mask = damage
-        data = bytearray(PINNED_V2.read_bytes())
+    def test_damaged_files_fail_closed(self, tmp_path_factory, damage):
+        kind, where, value = damage
+        data = bytearray(PINNED.read_bytes())
         path = tmp_path_factory.mktemp("damaged") / "m.model"
-        if version == "v3":
-            save_model(replace(load_model(PINNED_V2), window=4), path)
-            data = bytearray(path.read_bytes())
         at = min(int(where * len(data)), len(data) - 1)
         if kind == "truncate":
             del data[at:]
+        elif kind == "flip":
+            data[at] ^= value
         else:
-            data[at] ^= mask
+            # one of the header's two hidden sizes, up to sizes no memory could hold
+            sizes = b"hidden %d 2" % value if where else b"hidden 3 %d" % value
+            data = data.replace(b"hidden 3 2", sizes, 1)
         path.write_bytes(bytes(data))
         try:
             load_model(path)
@@ -858,24 +833,18 @@ class TestPersistence:
             tracemalloc.stop()
         assert peak <= 2.5 * payload, f"peak {peak} B for a {payload} B payload"
 
-    def test_pinned_v2_file(self, tmp_path):
+    def test_pinned_v3_file(self, tmp_path):
         # a 3/2 model trained by the per-gate (12 blocks per layer)
-        # implementation that preceded the stacked-gate layout, frozen in v2
-        params = load_model(PINNED_V2)
+        # implementation that preceded the stacked-gate layout, first frozen
+        # in format v2, then re-saved as v3 with window 5 and the same bits
+        params = load_model(PINNED)
         assert params.hidden_dims == (3, 2)
         assert params.scaler == MinMaxScaler(0.017, 1.93)
-        assert params.window is None
+        assert params.window == 5
+        # predict_windows takes windows of any length; these pinned bits are of length 4
         windows = np.array([[0.1, 0.35, 0.6, 0.85], [0.9, 0.7, 0.5, 0.3]])
         y = predict_windows(params, windows)
         assert [v.hex() for v in y] == ["-0x1.e845dafd609ecp-3", "-0x1.b9aa1ebfcc1aap-2"]
-        # v2 is read only: saving writes v3 with the same bits
-        resaved, again = tmp_path / "v3.model", tmp_path / "again.model"
+        resaved = tmp_path / "again.model"
         save_model(params, resaved)
-        assert resaved.read_bytes().startswith(b"LSTMPROG v3\n")
-        back = load_model(resaved)
-        assert back.theta.tobytes() == params.theta.tobytes()
-        assert back.scaler == params.scaler and back.hidden_dims == params.hidden_dims
-        assert back.window is None
-        assert predict_windows(back, windows).tobytes() == y.tobytes()
-        save_model(back, again)
-        assert again.read_bytes() == resaved.read_bytes()
+        assert resaved.read_bytes() == PINNED.read_bytes()
