@@ -136,8 +136,8 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--window", required=True,
                    help="comma-separated history, e.g. 0.1,0.2,0.3,0.4,0.5, as long as the "
-                        "model's training windows; interpreted in original units when the "
-                        "model carries a scaler, scaled units otherwise")
+                        "model's training windows, in original units: the model's scaler "
+                        "maps it in and the prediction back out")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("grad-check",
@@ -212,8 +212,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     params = load_model(args.model)
-    if params.scaler is None:
-        raise ConfigError(f"model {args.model} carries no scaler; retrain via the train subcommand")
     series = ingest.read_series_csv(args.infile)
     split = preprocess.prepare_eval_data(series, params.scaler, params.window)
     trace = ev.trace_for_split(params, split, params.scaler, args.space)
@@ -239,16 +237,15 @@ def _cmd_predict(args) -> int:
             f"--window has {len(window)} values; model {args.model} "
             f"was trained on windows of {params.window}"
         )
-    if not np.isfinite(window).all():
-        raise ValidationError(f"--window holds a non-finite value: {args.window!r}")
-    if params.scaler is not None:
+    with np.errstate(over="ignore"):
         scaled, _ = preprocess.apply_scaler(params.scaler, window, "forward")
-        y = forward_window(params, scaled)
-        out, _ = preprocess.apply_scaler(params.scaler, np.array([y]), "inverse")
-        print(fmt_float(out[0]))
-    else:
-        y = forward_window(params, window)
-        print(fmt_float(y))
+    # a NaN or inf value stays non-finite once scaled, and a finite one may overflow
+    if not np.isfinite(scaled).all():
+        raise ValidationError(f"--window holds a value that is non-finite once scaled: "
+                              f"{args.window!r}")
+    y = forward_window(params, scaled)
+    out, _ = preprocess.apply_scaler(params.scaler, np.array([y]), "inverse")
+    print(fmt_float(out[0]))
     return EXIT_OK
 
 

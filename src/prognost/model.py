@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import io
 import math
 import os
 import queue
@@ -44,7 +43,7 @@ from .errors import (
 from .preprocess import MinMaxScaler
 from .series import fmt_float, frozen_copy
 
-MODEL_MAGIC = "LSTMPROG v3"
+MODEL_MAGIC = "LSTMPROG v4"
 GATES = ("i", "f", "o", "c")
 LOSS_MODES = ("mse", "bce")
 
@@ -94,7 +93,7 @@ class LayerParams:
         return int(self.V.shape[1])
 
     def blocks(self):
-        """(label, view) pairs in the fixed file order Wi Vi bi ... Wc Vc bc."""
+        """(label, view) pairs in the fixed init and naming order Wi Vi bi ... Wc Vc bc."""
         d = self.hidden_size
         for n, gate in enumerate(GATES):
             rows = slice(n * d, (n + 1) * d)
@@ -141,8 +140,8 @@ def param_views(vec: np.ndarray, hidden_dims):
 
 
 def _file_blocks(vec: np.ndarray, hidden_dims):
-    """(label, view) pairs of a parameter-layout vector in file order, Wi Vi bi
-    ... Wc Vc bc per layer, then Wr; every view is C-contiguous."""
+    """(label, view) pairs of a parameter-layout vector in init and naming
+    order, Wi Vi bi ... Wc Vc bc per layer, then Wr; every view is C-contiguous."""
     layers, w_r = param_views(vec, hidden_dims)
     for layer in layers:
         yield from layer.blocks()
@@ -150,7 +149,7 @@ def _file_blocks(vec: np.ndarray, hidden_dims):
 
 
 def fill_param_vector(hidden_dims, fill) -> np.ndarray:
-    """Parameter vector whose blocks ``fill(label, shape)`` fills in file order."""
+    """Parameter vector whose blocks ``fill(label, shape)`` fills in init order."""
     theta = np.empty(param_count(hidden_dims))
     for label, block in _file_blocks(theta, hidden_dims):
         block[...] = fill(label, block.shape)
@@ -160,11 +159,11 @@ def fill_param_vector(hidden_dims, fill) -> np.ndarray:
 @dataclass(frozen=True)
 class ModelParams:
     """Full parameter set: one frozen vector ``theta`` with per-layer views
-    ``layers`` and the head view ``w_r``, plus the optional scaler baked in
-    when the model is saved and the window length it was trained on, which
-    every model file records. Only a model built in code (grad_check's
-    probe, a test's) may lack a window; it takes windows of any length, and
-    save_model refuses it."""
+    ``layers`` and the head view ``w_r``, plus the scaler baked in when the
+    model is saved and the window length it was trained on, both of which
+    every model file records. Only a model built in code may lack them:
+    train's, before it gets its scaler, or grad_check's probe, which takes
+    windows of any length. save_model refuses such a model."""
 
     theta: np.ndarray
     hidden_dims: tuple[int, ...]
@@ -198,8 +197,9 @@ class ModelParams:
             raise ValidationError(f"non-finite weights in block {block}")
 
     def blocks(self, vec: np.ndarray | None = None):
-        """(name, view) pairs in file order, layer1.Wi ... layerN.bc then Wr,
-        over ``theta`` or over any vector of its layout (a gradient, a moment)."""
+        """(name, view) pairs in init and naming order, layer1.Wi ... layerN.bc
+        then Wr, over ``theta`` or over any vector of its layout (a gradient,
+        a moment)."""
         layers, w_r = param_views(self.theta if vec is None else vec, self.hidden_dims)
         for li, layer in enumerate(layers, start=1):
             for label, block in layer.blocks():
@@ -224,7 +224,7 @@ def init_params(config, seed: int | None = None) -> ModelParams:
 
     W and V blocks are drawn uniformly from +-sqrt(6 / (fan_in + fan_out))
     using numpy's PCG64 generator seeded with ``seed`` (falling back to
-    config.seed), one gate block after another in file order. Biases
+    config.seed), one gate block after another in init order. Biases
     start at zero except the forget gates, which start at 1.0 to keep
     early gradients flowing.
     """
@@ -498,58 +498,51 @@ def predict_windows(m: ModelParams, windows: np.ndarray) -> np.ndarray:
     return y
 
 
-def _block_line(label: str, block: np.ndarray) -> str:
-    rows, cols = block.shape if block.ndim == 2 else (1, block.size)
-    return f"block {label} {rows} {cols}"
+def _word_sum(text: bytes, theta: np.ndarray) -> str:
+    """The data line's sum: 16 hex digits of the sum mod 2^64 of the
+    little-endian 8-byte words of ``text``, zero-padded to a multiple of 8
+    bytes, and then of ``theta``'s values. A change of one word, such as any
+    single-bit flip, changes it; two words swapped do not."""
+    words = np.frombuffer(text.ljust(-(-len(text) // 8) * 8, b"\0"), "<u8")
+    total = int(words.sum(dtype=np.uint64)) + int(theta.view("<u8").sum(dtype=np.uint64))
+    return f"{total % 2**64:016x}"
 
 
 def save_model(m: ModelParams, path) -> None:
-    """Write format v3; load_model inverts it bitwise.
+    """Write format v4; load_model inverts it bitwise.
 
-    Text lines (magic, header with the window, optional scaler, one ``block
-    <name> <rows> <cols>`` line per block in file order) end with ``data
-    <bytes>``, and the blocks' little-endian float64 values follow it,
-    row-major and in the same order, up to the end of the file. A model
-    without a window raises ValueError and writes nothing.
+    Four text lines, each ended by LF: the magic, the header with the
+    window, ``scaler <min> <max>`` and ``data <bytes> <sum>``. ``theta``'s
+    little-endian float64 values follow as they lie in memory (per layer W,
+    V and b, then Wr) up to the end of the file; ``<sum>`` is _word_sum of
+    the text before the data line and those values. A model without a
+    window or a scaler raises ValueError and writes nothing.
     """
-    if m.window is None:
-        raise ValueError("a model file records its window; this model has none")
-    blocks = list(_file_blocks(m.theta, m.hidden_dims))
+    if m.window is None or m.scaler is None:
+        raise ValueError(f"a model file records its window and its scaler; this model has "
+                         f"window {m.window} and scaler {m.scaler}")
     dims = " ".join(str(d) for d in m.hidden_dims)
-    lines = [MODEL_MAGIC, f"input 1 layers {len(m.layers)} hidden {dims} output 1 "
-                          f"loss {m.loss_mode} window {m.window}"]
-    if m.scaler is not None:
-        lines.append(f"scaler {fmt_float(m.scaler.min)} {fmt_float(m.scaler.max)}")
-    lines += [_block_line(label, block) for label, block in blocks] + [f"data {m.theta.nbytes}"]
+    text = (f"{MODEL_MAGIC}\ninput 1 layers {len(m.layers)} hidden {dims} output 1 "
+            f"loss {m.loss_mode} window {m.window}\n"
+            f"scaler {fmt_float(m.scaler.min)} {fmt_float(m.scaler.max)}\n").encode("utf-8")
+    theta = m.theta.astype("<f8", copy=False)
     with open(path, "wb") as f:
-        f.write(("\n".join(lines) + "\n").encode("utf-8"))
-        for _, block in blocks:
-            f.write(block.astype("<f8").tobytes())
+        f.write(text + f"data {theta.nbytes} {_word_sum(text, theta)}\n".encode("utf-8"))
+        f.write(theta)
 
 
-@dataclass
-class _LineReader:
-    """Reads the non-blank lines of a binary stream as text, one at a time,
-    and knows its byte position for error reports."""
-
-    stream: io.BufferedIOBase
-    offset: int = 0
-
-    def next_line(self, what: str) -> str:
-        while raw := self.stream.readline():
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ModelCorruptionError(
-                    f"expected {what}, found non-UTF-8 byte {raw[exc.start]:#04x} "
-                    f"at byte {self.offset + exc.start}"
-                ) from None
-            self.offset += len(raw)
-            if line.strip():
-                return line.removesuffix("\n")
+def _read_line(f, text: bytes, what: str) -> tuple[bytes, str]:
+    """Read the line of ``f`` that follows the bytes ``text``: ``text`` with
+    the line's bytes appended, and the line's text without the LF."""
+    if not (raw := f.readline()):
+        raise ModelCorruptionError(f"model file truncated at byte {len(text)}: expected {what}")
+    try:
+        return text + raw, raw.decode("utf-8").removesuffix("\n")
+    except UnicodeDecodeError as exc:
         raise ModelCorruptionError(
-            f"model file truncated at byte {self.offset}: expected {what}"
-        )
+            f"expected {what}, found non-UTF-8 byte {raw[exc.start]:#04x} "
+            f"at byte {len(text) + exc.start}"
+        ) from None
 
 
 def _parse_header(line: str) -> tuple[tuple[int, ...], str, int]:
@@ -577,53 +570,41 @@ def _parse_header(line: str) -> tuple[tuple[int, ...], str, int]:
     return dims, loss_mode, window
 
 
-def _read_payload(reader: _LineReader, blocks: list) -> None:
-    """Read v3's data line, then each block's raw values straight into the block."""
-    size = sum(block.nbytes for _, block in blocks)
-    line = reader.next_line("the data line")
-    if line.split() != ["data", str(size)]:
-        raise ModelCorruptionError(
-            f"expected the data line 'data {size}', 8 bytes per parameter, found {line[:60]!r}"
-        )
-    for label, block in blocks:
-        got = reader.stream.readinto(block)
-        reader.offset += got
-        if got != block.nbytes:
-            raise ModelCorruptionError(f"data truncated at byte {reader.offset}: "
-                                       f"block {label} lacks {block.nbytes - got} bytes")
-
-
-def _read_model(reader: _LineReader) -> ModelParams:
-    """Everything after the magic line: header, scaler, blocks and their values."""
-    dims, loss_mode, window = _parse_header(reader.next_line("header line"))
+def _read_model(f, text: bytes) -> ModelParams:
+    """Everything after the magic line ``text``: header, scaler, data line,
+    then the payload straight into the parameter vector, and its sum."""
+    text, line = _read_line(f, text, "the header line")
+    dims, loss_mode, window = _parse_header(line)
     # the weights alone need 8 bytes a parameter: a header whose sizes the
     # file cannot hold is a truncated file, not an allocation to attempt
-    size, nbytes = os.fstat(reader.stream.fileno()).st_size, 8 * param_count(dims)
-    if nbytes > size - reader.offset:
+    size, nbytes = os.fstat(f.fileno()).st_size, 8 * param_count(dims)
+    if nbytes > size - len(text):
         raise ModelCorruptionError(f"model file truncated at byte {size}: the header's sizes "
-                                   f"need {nbytes} bytes of weights after byte {reader.offset}")
-    line = reader.next_line("first block")
-    scaler = None
-    if (tokens := line.split())[0] == "scaler":
-        try:
-            _, lo, hi = tokens
-            scaler = MinMaxScaler(float(lo), float(hi))
-        except (ValueError, ConstantSeriesError):
-            raise ModelCorruptionError(f"malformed scaler line: {line!r}") from None
-        line = None
+                                   f"need {nbytes} bytes of weights after byte {len(text)}")
+    text, line = _read_line(f, text, "the scaler line")
+    try:
+        tag, lo, hi = line.split()
+        if tag != "scaler":
+            raise ValueError
+        scaler = MinMaxScaler(float(lo), float(hi))
+    except (ValueError, ConstantSeriesError):
+        raise ModelCorruptionError(
+            f"expected the scaler line 'scaler <min> <max>' with finite min < max, "
+            f"found {line[:60]!r}"
+        ) from None
+    head, line = _read_line(f, text, "the data line")
+    if len(tokens := line.split()) != 3 or tokens[:2] != ["data", str(nbytes)]:
+        raise ModelCorruptionError(f"expected the data line 'data {nbytes} <sum>', 8 bytes per "
+                                   f"parameter, found {line[:60]!r}")
     theta = np.empty(param_count(dims), dtype="<f8")
-    blocks = list(_file_blocks(theta, dims))
-    for label, block in blocks:
-        expected = _block_line(label, block)
-        line = line or reader.next_line(expected)
-        if line.split() != expected.split():
-            raise ModelCorruptionError(
-                f"expected {expected!r} from the header's sizes, found {line[:60]!r}"
-            )
-        line = None
-    _read_payload(reader, blocks)
-    if tail := reader.stream.read(40):
-        raise ModelCorruptionError(f"trailing data at byte {reader.offset}: {tail!r}")
+    if (got := f.readinto(theta)) != nbytes:
+        raise ModelCorruptionError(f"data truncated at byte {len(head) + got}: "
+                                   f"the payload lacks {nbytes - got} bytes")
+    if tail := f.read(40):
+        raise ModelCorruptionError(f"trailing data at byte {len(head) + nbytes}: {tail!r}")
+    if (total := _word_sum(text, theta)) != tokens[2]:
+        raise ModelCorruptionError(f"sum mismatch: the data line records {tokens[2][:20]!r}, "
+                                   f"the file's words sum to {total!r}")
     theta.flags.writeable = False
     try:
         return ModelParams(theta, dims, loss_mode, scaler, window)
@@ -632,22 +613,23 @@ def _read_model(reader: _LineReader) -> ModelParams:
 
 
 def load_model(path) -> ModelParams:
-    """Read a v3 model file, its values straight into the parameter vector;
+    """Read a v4 model file, its values straight into the parameter vector;
     raises the specific error class for each defect.
 
     The magic line is the file's first line, ended by LF alone: a file whose
     line ends were translated holds a payload that can no longer be trusted.
-    Earlier versions (v1, v2) raise ModelVersionError.
+    A short payload raises before trailing bytes, and both before a sum
+    that does not match. Earlier versions (v1 to v3) raise ModelVersionError.
     """
     with open(path, "rb") as f:
         first = f.readline(64)
         if first == MODEL_MAGIC.encode() + b"\n":
-            return _read_model(_LineReader(f, len(first)))
+            return _read_model(f, first)
     magic = next(iter(first.decode("utf-8", "replace").splitlines()), "")
     if magic == MODEL_MAGIC:
         raise ModelCorruptionError(f"{MODEL_MAGIC} must be the first line, ended by LF alone")
     if magic.startswith("LSTMPROG "):
         raise ModelVersionError(
-            f"unsupported model version {magic.split(' ', 1)[1]!r}; expected v3"
+            f"unsupported model version {magic.split(' ', 1)[1]!r}; expected v4"
         )
     raise ModelFormatError(f"not a model file: first line {magic[:60]!r}")

@@ -39,8 +39,9 @@ class MinMaxScaler:
     max: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.min) and np.isfinite(self.max)):
-            raise ConstantSeriesError("scaler bounds must be finite")
+        # a non-finite bound makes the range non-finite too
+        if not np.isfinite(self.max - self.min):
+            raise ConstantSeriesError("scaler bounds and their range must be finite")
         if not self.max > self.min:
             raise ConstantSeriesError(
                 f"max ({self.max}) must exceed min ({self.min}); "

@@ -217,7 +217,8 @@ def test_criterion_8_persistence_round_trip(tmp_path):
         load_model(truncated)
 
     tampered = tmp_path / "tampered.model"
-    tampered.write_bytes(raw.replace(b"block Vf 3 3", b"block Vf 3 4", 1))
+    tampered.write_bytes(raw.replace(b" hidden 4 3 ", b" hidden 4 4 ", 1))
+    assert tampered.read_bytes() != raw
     with pytest.raises(ModelCorruptionError):
         load_model(tampered)
     report(8, "save/load/save byte-identical; format, version and corruption "

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: subcommands, exit codes, reproducibility."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prognost.cli import build_parser, run
 from prognost.ingest import IMS_EXPECTED_ROWS, read_series_csv
@@ -17,7 +21,7 @@ from prognost.model import load_model, predict_windows
 from prognost.preprocess import apply_scaler
 
 ROOT = Path(__file__).resolve().parents[1]
-PINNED = ROOT / "tests" / "data" / "v3_stack_3_2.model"
+PINNED = ROOT / "tests" / "data" / "v4_stack_3_2.model"
 
 
 def make_clean_series(tmp_path, n=120, kind="sine"):
@@ -210,7 +214,7 @@ class TestTrainCommand:
         lines = report.read_text().splitlines()
         assert lines[0] == "epoch,train_loss,test_rmse"
         assert len(lines) == 9
-        assert model.read_bytes().startswith(b"LSTMPROG v3\n")
+        assert model.read_bytes().startswith(b"LSTMPROG v4\n")
 
     def test_sine_contract_200_epochs(self, tmp_path):
         clean = make_clean_series(tmp_path, n=120)
@@ -395,16 +399,40 @@ class TestEvaluateCommand:
                     "--metrics-out", str(tmp_path / "m.csv"),
                     "--trace-out", str(tmp_path / "t.csv")]) == 2
 
-    def test_scalerless_model_is_config_error(self, tmp_path):
-        from prognost import save_model
-        from test_model import zero_model
+    def test_model_without_scaler_line_is_data_error(self, tmp_path, capsys):
+        # a v4 file always carries its scaler: one without is corrupt, for
+        # evaluate and predict alike
+        from test_model import join_v4, split_v4
 
-        clean = make_clean_series(tmp_path)
-        bare = tmp_path / "bare.model"
-        save_model(zero_model((4,)), bare)
-        assert run(["evaluate", "--model", str(bare), "--in", str(clean),
+        clean, model, _ = train_small(tmp_path)
+        lines, payload = split_v4(model)
+        assert lines.pop(2).startswith("scaler ")
+        join_v4(model, lines, payload)
+        capsys.readouterr()
+        assert run(["evaluate", "--model", str(model), "--in", str(clean),
                     "--metrics-out", str(tmp_path / "m.csv"),
-                    "--trace-out", str(tmp_path / "t.csv")]) == 1
+                    "--trace-out", str(tmp_path / "t.csv")]) == 2
+        assert run(["predict", "--model", str(model), "--window", "1,2,3,4,5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("data error: expected the scaler line") == 2
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_flipped_payload_bit_is_data_error(self, tmp_path, capsys):
+        # the data line's sum catches a weight that a flipped bit changed
+        # but left finite
+        clean, model, _ = train_small(tmp_path)
+        data = bytearray(model.read_bytes())
+        data[-1000] ^= 1 << 4
+        model.write_bytes(data)
+        capsys.readouterr()
+        assert run(["evaluate", "--model", str(model), "--in", str(clean),
+                    "--metrics-out", str(tmp_path / "m.csv"),
+                    "--trace-out", str(tmp_path / "t.csv")]) == 2
+        assert run(["predict", "--model", str(model), "--window", "1,2,3,4,5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("data error: sum mismatch") == 2
 
 
 class TestPredictCommand:
@@ -466,6 +494,40 @@ class TestPredictCommand:
             assert "non-finite" in captured.err
         assert run(["predict", "--model", str(model), "--window", "0.1,inf,0.3,0.4,0.5"]) == 2
 
+    def test_scaler_with_an_infinite_range_is_data_error(self, tmp_path, capsys):
+        # max - min of scaler -1e308 1e308 overflows to inf, which would turn
+        # every prediction into NaN: the file is corrupt, not a model to run
+        from prognost import save_model
+        from test_model import join_v4, split_v4, zero_model
+
+        path = tmp_path / "wide.model"
+        save_model(zero_model((4, 3)), path)
+        lines, payload = split_v4(path)
+        lines[2] = "scaler -1e308 1e308"
+        join_v4(path, lines, payload)
+        capsys.readouterr()
+        assert run(["predict", "--model", str(path), "--window", "0.1,0.2,0.3,0.4,0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: expected the scaler line")
+
+    def test_window_that_overflows_once_scaled_is_data_error(self, tmp_path, capsys):
+        # 1e300 is finite, but divided by the range 1e-300 it is inf
+        from prognost import save_model
+        from prognost.preprocess import MinMaxScaler
+        from test_model import zero_model
+
+        path = tmp_path / "narrow.model"
+        save_model(zero_model((4, 3)).with_scaler(MinMaxScaler(0.0, 1e-300)), path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["predict", "--model", str(path), "--window", "1e300,1,1,1,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: --window holds a value that is non-finite "
+                                       "once scaled")
+
     def test_negative_first_window_value(self, capsys):
         glued = run(["predict", "--model", str(PINNED), "--window=-0.5,1,1,1,1"])
         expected = capsys.readouterr()
@@ -485,12 +547,14 @@ class TestPredictCommand:
 
     @pytest.mark.parametrize("first_lines, message", [
         ("LSTMPROG v2\ninput 1 layers 1 hidden 2 output 1 loss mse\n",
-         "unsupported model version 'v2'; expected v3"),
-        ("LSTMPROG v3\ninput 1 layers 1 hidden 2 output 1 loss mse\n",
+         "unsupported model version 'v2'; expected v4"),
+        ("LSTMPROG v3\ninput 1 layers 1 hidden 2 output 1 loss mse window 5\nblock Wi 8 1\n",
+         "unsupported model version 'v3'; expected v4"),
+        ("LSTMPROG v4\ninput 1 layers 1 hidden 2 output 1 loss mse\n",
          "malformed model header line"),
-        ("LSTMPROG v3\ninput 1 layers 1 hidden 1000000 output 1 loss mse window 5\n",
+        ("LSTMPROG v4\ninput 1 layers 1 hidden 1000000 output 1 loss mse window 5\n",
          "model file truncated at byte 100: "),
-    ], ids=["v2", "no-window", "oversized"])
+    ], ids=["v2", "v3", "no-window", "oversized"])
     def test_unloadable_model_is_data_error(self, tmp_path, capsys, first_lines, message):
         path = tmp_path / "m.model"
         path.write_bytes(first_lines.encode().ljust(100, b"x"))
@@ -500,6 +564,75 @@ class TestPredictCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"data error: {message}")
         assert len(captured.err.splitlines()) == 1
+
+
+def quiet_run(argv):
+    """(exit code, stdout) of cli.run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+class TestCrossStageContracts:
+    """train, evaluate and predict agree with each other on small draws; each
+    example runs the pipeline from a fresh fixture, in process."""
+
+    pipeline = given(
+        kind=st.sampled_from(("sine", "degradation")),
+        n=st.integers(40, 300),
+        dims=st.lists(st.integers(1, 8), min_size=1, max_size=2),
+        window=st.integers(1, 7),
+        loss_mode=st.sampled_from(("mse", "bce")),
+        epochs=st.integers(1, 2),
+    )
+
+    @staticmethod
+    def train_and_evaluate(tmp, space, kind, n, dims, window, loss_mode, epochs):
+        raw, clean, cfg = tmp / "raw.csv", tmp / "clean.csv", tmp / "cfg"
+        cfg.write_text(f"hidden_dims = {','.join(map(str, dims))}\nwindow = {window}\n"
+                       f"loss_mode = {loss_mode}\nepochs = {epochs}\n")
+        for argv in (
+            ["gen-fixture", "--kind", kind, "--n", str(n), "--out", str(raw)],
+            ["preprocess", "--in", str(raw), "--out", str(clean)],
+            ["train", "--in", str(clean), "--config", str(cfg), "--model-out",
+             str(tmp / "m.model"), "--report-out", str(tmp / "report.csv")],
+            ["evaluate", "--model", str(tmp / "m.model"), "--in", str(clean), "--space", space,
+             "--metrics-out", str(tmp / "metrics.csv"), "--trace-out", str(tmp / "trace.csv")],
+        ):
+            assert quiet_run(argv)[0] == 0
+        return clean
+
+    @settings(max_examples=25, deadline=None)
+    @pipeline
+    def test_predict_prints_the_trace_value_to_a_few_ulps(self, tmp_path_factory, **draw):
+        # the original-space trace's predicted column, row by row, is what
+        # predict prints for the window before the row's target. Not bit for
+        # bit: a row's products round by the BLAS kernel its batch size picks
+        # (dot for one row, gemv or gemm for several), so about 1 row in 10
+        # differs, by at most 5e-16 of the scaler's extremes
+        tmp = tmp_path_factory.mktemp("contract")
+        values = read_series_csv(self.train_and_evaluate(tmp, "original", **draw)).values
+        scaler = load_model(tmp / "m.model").scaler
+        scale = max(abs(scaler.min), abs(scaler.max))
+        rows = [line.split(",") for line in (tmp / "trace.csv").read_text().splitlines()[1:]]
+        for i in np.linspace(0, len(rows) - 1, 5).astype(int):
+            origin, predicted = int(rows[i][0]), float(rows[i][3])
+            window = ",".join(repr(float(v)) for v in values[origin - draw["window"] : origin])
+            code, out = quiet_run(["predict", "--model", str(tmp / "m.model"), f"--window={window}"])
+            assert code == 0
+            assert abs(float(out) - predicted) <= 1e-13 * scale
+
+    @settings(max_examples=25, deadline=None)
+    @pipeline
+    def test_report_ends_on_the_test_rmse_of_evaluate(self, tmp_path_factory, **draw):
+        # train's last test RMSE and evaluate's scaled test RMSE: the same bits
+        tmp = tmp_path_factory.mktemp("contract")
+        self.train_and_evaluate(tmp, "scaled", **draw)
+        last_epoch = (tmp / "report.csv").read_text().splitlines()[-1].split(",")
+        test_row = (tmp / "metrics.csv").read_text().splitlines()[-1].split(",")
+        assert test_row[:2] == ["clean/test", "scaled"]
+        assert test_row[3] == last_epoch[2]
 
 
 class TestBenchmarkTracerTargets:

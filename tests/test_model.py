@@ -45,7 +45,8 @@ DATA = Path(__file__).parent / "data"
 
 
 def zero_model(dims=(3,), loss_mode="mse", window=5):
-    return ModelParams(np.zeros(param_count(dims)), dims, loss_mode, window=window)
+    # the scaler (0, 1) maps every value to itself, up to the sign of a zero
+    return ModelParams(np.zeros(param_count(dims)), dims, loss_mode, MinMaxScaler(0.0, 1.0), window)
 
 
 def use_cores(mp, cores):
@@ -545,27 +546,43 @@ class TestForwardWindow:
             ModelParams(theta, (4, 2))
 
 
-PINNED = DATA / "v3_stack_3_2.model"
+PINNED = DATA / "v4_stack_3_2.model"
+MODEL_ERRORS = (ModelFormatError, ModelVersionError, ModelCorruptionError)
 
 
-def split_v3(path):
-    """(text lines, payload) of a v3 file: the payload is what follows the data line."""
+def word_sum(*parts):
+    """Oracle of the data line's sum, over Python integers: each part is
+    zero-padded to a multiple of 8 bytes and read as little-endian words."""
+    total = 0
+    for part in parts:
+        part = part.ljust(-(-len(part) // 8) * 8, b"\0")
+        total += sum(int.from_bytes(part[i : i + 8], "little") for i in range(0, len(part), 8))
+    return f"{total % 2**64:016x}"
+
+
+def split_v4(path):
+    """(text lines, payload) of a v4 file: the payload is what follows the data line."""
     raw = path.read_bytes()
     at = raw.index(b"\ndata ")
     end = raw.index(b"\n", at + 1) + 1
     return raw[:end].decode().splitlines(), raw[end:]
 
 
-def join_v3(path, lines, payload):
-    path.write_bytes(("\n".join(lines) + "\n").encode() + payload)
+def join_v4(path, lines, payload, resum=True):
+    """Write ``lines`` and ``payload`` as a model file. With ``resum``, a last
+    line ``data <bytes> ...`` gets the oracle sum of the text before it and
+    the payload, so that only the edit under test is a defect."""
+    text = "".join(f"{line}\n" for line in lines[:-1]).encode()
+    last = lines[-1]
+    if resum and last.startswith("data "):
+        last = " ".join(last.split()[:2] + [word_sum(text, payload)])
+    path.write_bytes(text + f"{last}\n".encode() + payload)
 
 
 class TestPersistence:
-    def _model(self, with_scaler=True):
+    def _model(self):
         params = init_params(TrainConfig(hidden_dims=(4, 3)), 42)
-        if with_scaler:
-            params = params.with_scaler(MinMaxScaler(0.017, 1.93))
-        return params
+        return params.with_scaler(MinMaxScaler(0.017, 1.93))
 
     def test_round_trip_bitwise(self, tmp_path):
         params = self._model()
@@ -584,24 +601,27 @@ class TestPersistence:
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_no_scaler_round_trip(self, tmp_path):
-        params = self._model(with_scaler=False)
+    def test_model_without_scaler_does_not_save(self, tmp_path):
+        # train builds its model before it has a scaler, but a model file
+        # always records one
         path = tmp_path / "m.model"
-        save_model(params, path)
-        assert load_model(path).scaler is None
+        with pytest.raises(ValueError, match="records its window and its scaler"):
+            save_model(self._model().with_scaler(None), path)
+        assert not path.exists()
 
     def test_version_error(self, tmp_path):
-        # v1 (rows of decimal floats) and v2 (base64 text lines) no longer load
+        # v1 (rows of decimal floats), v2 (base64 text lines) and v3 (a block
+        # table, an optional scaler, no sum) no longer load
         path = tmp_path / "m.model"
-        for magic in ("LSTMPROG v9", "LSTMPROG v1", "LSTMPROG v2"):
-            path.write_text(f"{magic}\ninput 1 layers 1 hidden 2 output 1 loss mse\n")
-            with pytest.raises(ModelVersionError, match="expected v3$"):
+        for magic in ("LSTMPROG v9", "LSTMPROG v1", "LSTMPROG v2", "LSTMPROG v3"):
+            path.write_text(f"{magic}\ninput 1 layers 1 hidden 2 output 1 loss mse window 5\n")
+            with pytest.raises(ModelVersionError, match="expected v4$"):
                 load_model(path)
 
     def test_non_positive_sizes_are_corruption(self, tmp_path):
         path = tmp_path / "m.model"
-        path.write_text("LSTMPROG v3\ninput 1 layers 1 hidden -2 output 1 loss mse window 5\n"
-                        "block Wi -2 1\n")
+        path.write_text("LSTMPROG v4\ninput 1 layers 1 hidden -2 output 1 loss mse window 5\n"
+                        "scaler 0 1\n")
         with pytest.raises(ModelCorruptionError, match="header"):
             load_model(path)
 
@@ -615,9 +635,9 @@ class TestPersistence:
         path = tmp_path / "m.model"
         save_model(self._model(), path)
         raw = path.read_bytes()
-        payload = split_v3(path)[1]
-        # cut in the block table, at the data line, and in the payload
-        for cut in (raw.index(b"block Vf"), len(raw) - len(payload) - 1, int(len(raw) * 0.9)):
+        payload = split_v4(path)[1]
+        # cut before the scaler line, at the data line's LF, and in the payload
+        for cut in (raw.index(b"scaler "), len(raw) - len(payload) - 1, int(len(raw) * 0.9)):
             path.write_bytes(raw[:cut])
             with pytest.raises(ModelCorruptionError, match=f"truncated at byte {cut}"):
                 load_model(path)
@@ -626,30 +646,16 @@ class TestPersistence:
         # 8 bytes a parameter: the header's sizes are checked against the
         # file's length before the parameter vector is allocated
         path = tmp_path / "m.model"
-        header = b"LSTMPROG v3\ninput 1 layers 1 hidden 1000000 output 1 loss mse window 5\n"
+        header = b"LSTMPROG v4\ninput 1 layers 1 hidden 1000000 output 1 loss mse window 5\n"
         path.write_bytes(header.ljust(100, b"x"))
         with pytest.raises(ModelCorruptionError,
                            match=f"truncated at byte 100: .* {8 * param_count((10**6,))} bytes"):
             load_model(path)
 
-    def test_shape_inconsistency(self, tmp_path):
-        path = tmp_path / "m.model"
-        save_model(self._model(), path)
-        path.write_bytes(path.read_bytes().replace(b"block Wi 4 1", b"block Wi 3 1", 1))
-        with pytest.raises(ModelCorruptionError):
-            load_model(path)
-
-    def test_wrong_block_order_detected(self, tmp_path):
-        path = tmp_path / "m.model"
-        save_model(self._model(), path)
-        path.write_bytes(path.read_bytes().replace(b"block Vi 4 4", b"block Vf 4 4", 1))
-        with pytest.raises(ModelCorruptionError):
-            load_model(path)
-
     def test_trailing_data_detected(self, tmp_path):
-        v3, path = tmp_path / "v3.model", tmp_path / "m.model"
-        save_model(self._model(), v3)
-        for source in (v3, PINNED):
+        v4, path = tmp_path / "v4.model", tmp_path / "m.model"
+        save_model(self._model(), v4)
+        for source in (v4, PINNED):
             path.write_bytes(source.read_bytes() + b"0.5 0.5\n")
             with pytest.raises(ModelCorruptionError, match="trailing"):
                 load_model(path)
@@ -658,12 +664,9 @@ class TestPersistence:
     @given(
         dims=st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple),
         loss_mode=st.sampled_from(("mse", "bce")),
-        scaler=st.one_of(
-            st.none(),
-            st.tuples(
-                st.floats(-1e6, 1e6, allow_nan=False), st.floats(1e-6, 1e6, allow_nan=False)
-            ).map(lambda t: MinMaxScaler(t[0], t[0] + t[1])),
-        ),
+        scaler=st.tuples(
+            st.floats(-1e6, 1e6, allow_nan=False), st.floats(1e-6, 1e6, allow_nan=False)
+        ).map(lambda t: MinMaxScaler(t[0], t[0] + t[1])),
         seed=st.integers(0, 2**31 - 1),
     )
     def test_save_load_save_bytes_property(self, tmp_path_factory, dims, loss_mode, scaler, seed):
@@ -681,8 +684,8 @@ class TestPersistence:
     def test_window_round_trips_in_header(self, tmp_path):
         params = init_params(TrainConfig(hidden_dims=(2,), window=7), 1)
         path = tmp_path / "m.model"
-        save_model(params, path)
-        assert split_v3(path)[0][1].endswith(" loss mse window 7")
+        save_model(params.with_scaler(MinMaxScaler(0.0, 1.0)), path)
+        assert split_v4(path)[0][1].endswith(" loss mse window 7")
         assert load_model(path).window == 7
 
     def test_model_without_window_does_not_save(self, tmp_path):
@@ -693,7 +696,7 @@ class TestPersistence:
             assert np.isfinite(predict_windows(params, np.linspace(0.1, 0.9, w)[None, :])).all()
         path = tmp_path / "m.model"
         with pytest.raises(ValueError, match="records its window"):
-            save_model(params, path)
+            save_model(params.with_scaler(MinMaxScaler(0.0, 1.0)), path)
         assert not path.exists()
 
     @pytest.mark.parametrize("header", [
@@ -704,11 +707,11 @@ class TestPersistence:
     ])
     def test_bad_window_in_header_is_corruption(self, tmp_path, header):
         path = tmp_path / "m.model"
-        path.write_text(f"LSTMPROG v3\n{header}\nblock Wi 2 1\n")
+        path.write_text(f"LSTMPROG v4\n{header}\nscaler 0 1\n")
         with pytest.raises(ModelCorruptionError, match="header"):
             load_model(path)
 
-    @pytest.mark.parametrize("source", ["v3", "pinned"])
+    @pytest.mark.parametrize("source", ["v4", "pinned"])
     def test_input_size_other_than_one_is_corruption(self, tmp_path, source):
         path = tmp_path / "m.model"
         if source == "pinned":
@@ -721,32 +724,36 @@ class TestPersistence:
         with pytest.raises(ModelCorruptionError, match="unsupported input size 2"):
             load_model(path)
 
-    def test_payload_is_the_blocks_in_file_order(self, tmp_path):
+    def test_payload_is_theta_as_it_lies_in_memory(self, tmp_path):
         params = self._model()
         path = tmp_path / "m.model"
         save_model(params, path)
-        lines, payload = split_v3(path)
-        names = [name for name, _ in params.blocks()]
-        assert lines[:3] == ["LSTMPROG v3", "input 1 layers 2 hidden 4 3 output 1 loss mse window 5",
-                             "scaler 0.017 1.93"]
-        assert [line.split()[1] for line in lines[3:-1]] == [n.split(".")[-1] for n in names]
-        assert lines[-1] == f"data {8 * param_count((4, 3))}"
-        assert payload == b"".join(b.astype("<f8").tobytes() for _, b in params.blocks())
+        lines, payload = split_v4(path)
+        assert payload == params.theta.astype("<f8").tobytes()
+        text = "".join(f"{line}\n" for line in lines[:3]).encode()
+        assert lines == ["LSTMPROG v4", "input 1 layers 2 hidden 4 3 output 1 loss mse window 5",
+                         "scaler 0.017 1.93",
+                         f"data {8 * param_count((4, 3))} {word_sum(text, payload)}"]
 
     @pytest.mark.parametrize("defect, message", [
-        ("short", "data truncated at byte {end_short}: block Wr lacks 1 bytes"),
-        ("count", "expected the data line 'data {size}', 8 bytes per parameter, found 'data {less}'"),
+        ("short", "data truncated at byte {end_short}: the payload lacks 1 bytes"),
+        ("count", "expected the data line 'data {size} <sum>', 8 bytes per parameter, "
+                  "found 'data {less} "),
         ("trailing", "trailing data at byte {end}: "),
         ("no-data-line", "data line"),
-        ("table", "expected 'block Vi 4 4' from the header's sizes, found 'block Vi 4 3'"),
+        ("no-scaler-line", "expected the scaler line 'scaler <min> <max>' with finite min < max, "
+                           "found 'data {size} "),
+        ("sum", "sum mismatch: the data line records '{recorded}', "
+                "the file's words sum to '{actual}'"),
         ("nan", "non-finite weights in block layer2.Vo"),
-    ])
-    def test_v3_defects_are_named(self, tmp_path, defect, message):
-        params = self._model(with_scaler=False)
+    ], ids=["short", "count", "trailing", "no-data-line", "no-scaler-line", "sum", "nan"])
+    def test_v4_defects_are_named(self, tmp_path, defect, message):
+        params = self._model()
         path = tmp_path / "m.model"
         save_model(params, path)
-        lines, payload = split_v3(path)
+        lines, payload = split_v4(path)
         end, size = path.stat().st_size, 8 * param_count((4, 3))
+        recorded = lines[-1].split()[2]
         if defect == "short":
             payload = payload[:-1]
         elif defect == "count":
@@ -755,33 +762,41 @@ class TestPersistence:
             payload += b"\n"
         elif defect == "no-data-line":
             lines.pop()
-        elif defect == "table":
-            lines[3] = "block Vi 4 3"
+        elif defect == "no-scaler-line":
+            lines.pop(2)
+        elif defect == "sum":
+            # the top bit of the last word: the words' sum moves by 2^63
+            payload = payload[:-1] + bytes([payload[-1] ^ 0x80])
         else:
             theta = params.theta.copy()
             dict(params.blocks(theta))["layer2.Vo"][1, 2] = np.nan
-            payload = b"".join(b.astype("<f8").tobytes() for _, b in params.blocks(theta))
-        join_v3(path, lines, payload)
-        message = message.format(end=end, end_short=end - 1, size=size, less=size - 8)
+            payload = theta.astype("<f8").tobytes()
+        join_v4(path, lines, payload, resum=defect != "sum")
+        message = message.format(end=end, end_short=end - 1, size=size, less=size - 8,
+                                 recorded=recorded,
+                                 actual=f"{(int(recorded, 16) + 2**63) % 2**64:016x}")
         with pytest.raises(ModelCorruptionError, match=message):
             load_model(path)
 
-    def test_v3_with_crlf_line_ends_is_corruption(self, tmp_path):
-        # a v3 file passed through text-mode newline translation: its payload
+    def test_v4_with_crlf_line_ends_is_corruption(self, tmp_path):
+        # a v4 file passed through text-mode newline translation: its payload
         # can no longer be trusted, so it must not load
         path = tmp_path / "m.model"
         save_model(self._model(), path)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        with pytest.raises(ModelCorruptionError, match="LSTMPROG v3 must be the first line"):
+        with pytest.raises(ModelCorruptionError, match="LSTMPROG v4 must be the first line"):
             load_model(path)
 
-    @pytest.mark.parametrize("scaler", ["scaler 2.0 1.0", "scaler nan 1.0", "scaler 0.5"])
+    @pytest.mark.parametrize("scaler", [
+        "scaler 2.0 1.0", "scaler nan 1.0", "scaler 0.5", "scaler -1e308 1e308",
+    ])
     def test_bad_scaler_line_is_corruption(self, tmp_path, scaler):
-        lines, payload = split_v3(PINNED)
+        # the sum is made to match, so the scaler line is the only defect
+        lines, payload = split_v4(PINNED)
         assert lines[2].startswith("scaler ")
         lines[2] = scaler
         path = tmp_path / "m.model"
-        join_v3(path, lines, payload)
+        join_v4(path, lines, payload)
         with pytest.raises(ModelCorruptionError, match="scaler"):
             load_model(path)
 
@@ -798,7 +813,9 @@ class TestPersistence:
         damage=st.one_of(
             st.tuples(st.just("truncate"), st.floats(0.0, 1.0), st.just(0)),
             st.tuples(st.just("flip"), st.floats(0.0, 1.0), st.integers(1, 255)),
-            st.tuples(st.just("sizes"), st.integers(0, 1), st.integers(1, 10**15)),
+            # leave out the identity edit, hidden 3 2 itself
+            st.tuples(st.just("sizes"), st.integers(0, 1), st.integers(1, 10**15)).filter(
+                lambda d: d[2] != (3 if d[1] else 2)),
         ),
     )
     def test_damaged_files_fail_closed(self, tmp_path_factory, damage):
@@ -815,14 +832,30 @@ class TestPersistence:
             sizes = b"hidden %d 2" % value if where else b"hidden 3 %d" % value
             data = data.replace(b"hidden 3 2", sizes, 1)
         path.write_bytes(bytes(data))
-        try:
+        with pytest.raises(MODEL_ERRORS):
             load_model(path)
-        except (ModelFormatError, ModelVersionError, ModelCorruptionError):
-            pass
+
+    def test_every_single_bit_flip_fails_closed(self, tmp_path):
+        # the sum covers every byte but the data line's own, and an edit of
+        # the data line leaves it malformed or at odds with the header
+        data = PINNED.read_bytes()
+        path = tmp_path / "m.model"
+        loaded = []
+        for bit in range(8 * len(data)):
+            damaged = bytearray(data)
+            damaged[bit // 8] ^= 1 << bit % 8
+            path.write_bytes(damaged)
+            try:
+                load_model(path)
+                loaded.append(bit)
+            except MODEL_ERRORS:
+                pass
+        assert loaded == []
 
     def test_load_peak_memory_is_near_the_payload(self, tmp_path):
         path = tmp_path / "m.model"
-        save_model(init_params(TrainConfig(hidden_dims=(128, 64)), 1), path)
+        params = init_params(TrainConfig(hidden_dims=(128, 64)), 1)
+        save_model(params.with_scaler(MinMaxScaler(0.0, 1.0)), path)
         payload = 8 * param_count((128, 64))
         load_model(path)
         tracemalloc.start()
@@ -833,10 +866,11 @@ class TestPersistence:
             tracemalloc.stop()
         assert peak <= 2.5 * payload, f"peak {peak} B for a {payload} B payload"
 
-    def test_pinned_v3_file(self, tmp_path):
+    def test_pinned_v4_file(self, tmp_path):
         # a 3/2 model trained by the per-gate (12 blocks per layer)
         # implementation that preceded the stacked-gate layout, first frozen
-        # in format v2, then re-saved as v3 with window 5 and the same bits
+        # in format v2, then re-saved as v3 with window 5 and as v4, each
+        # time with the same bits
         params = load_model(PINNED)
         assert params.hidden_dims == (3, 2)
         assert params.scaler == MinMaxScaler(0.017, 1.93)
