@@ -215,7 +215,6 @@ def _cmd_evaluate(args) -> int:
     series = ingest.read_series_csv(args.infile)
     split = preprocess.prepare_eval_data(series, params.scaler, params.window)
     trace = ev.trace_for_split(params, split, params.scaler, args.space)
-    ev.write_trace_csv(trace, args.trace_out)
 
     stem = Path(args.infile).stem
     n_train = len(split.train)
@@ -223,6 +222,7 @@ def _cmd_evaluate(args) -> int:
     for tag, part in (("train", slice(None, n_train)), ("test", slice(n_train, None))):
         metrics = ev.compute_metrics(trace.actual[part], trace.predicted[part], args.space)
         rows.append((f"{stem}/{tag}", metrics))
+    ev.write_trace_csv(trace, args.trace_out)
     ev.write_metrics_csv(rows, args.metrics_out)
     test_report = rows[-1][1]
     print(f"test rmse {fmt_float(test_report.rmse)} over {test_report.n} points ({args.space} space)")

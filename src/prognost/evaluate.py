@@ -50,19 +50,18 @@ def compute_metrics(actual, predicted, space: str = "scaled") -> MetricsReport:
         )
     if actual.size == 0:
         raise ValueError("cannot compute metrics over zero points")
-    err = actual - predicted
-    rmse = float(np.sqrt(np.mean(err * err)))
-    mae = float(np.mean(np.abs(err)))
-
-    actual_range = float(actual.max() - actual.min())
-    nmae = mae / actual_range if actual_range > 0 else None
-
     included = np.abs(actual) >= MAPE_ZERO_THRESHOLD
     excluded = int(actual.size - included.sum())
-    if included.any():
-        mape = float(np.mean(np.abs(err[included]) / np.abs(actual[included])))
-    else:
-        mape = None
+    with np.errstate(over="ignore"):
+        err = actual - predicted
+        rmse = float(np.sqrt(np.mean(err * err)))
+        mae = float(np.mean(np.abs(err)))
+        actual_range = float(actual.max() - actual.min())
+        ape = np.abs(err[included]) / np.abs(actual[included])
+        mape = float(np.mean(ape)) if ape.size else None
+    if not np.isfinite([rmse, mae, actual_range, mape or 0.0]).all():
+        raise ValidationError(f"{space}-space metrics overflow float64")
+    nmae = mae / actual_range if actual_range > 0 else None
     return MetricsReport(rmse, mae, nmae, mape, int(actual.size), excluded, space)
 
 

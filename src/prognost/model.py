@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
-    ConfigError,
     ConstantSeriesError,
     ModelCorruptionError,
     ModelFormatError,
@@ -92,15 +91,6 @@ class LayerParams:
     def hidden_size(self) -> int:
         return int(self.V.shape[1])
 
-    def blocks(self):
-        """(label, view) pairs in the fixed init and naming order Wi Vi bi ... Wc Vc bc."""
-        d = self.hidden_size
-        for n, gate in enumerate(GATES):
-            rows = slice(n * d, (n + 1) * d)
-            yield f"W{gate}", self.W[rows]
-            yield f"V{gate}", self.V[rows]
-            yield f"b{gate}", self.b[rows]
-
 
 def layer_zeros(input_size: int, hidden_size: int) -> LayerParams:
     """All-zero layer of the given shape (useful for closed-form checks)."""
@@ -139,20 +129,27 @@ def param_views(vec: np.ndarray, hidden_dims):
     return tuple(layers), vec[pos:].reshape(1, k)
 
 
-def _file_blocks(vec: np.ndarray, hidden_dims):
-    """(label, view) pairs of a parameter-layout vector in init and naming
-    order, Wi Vi bi ... Wc Vc bc per layer, then Wr; every view is C-contiguous."""
+def param_blocks(vec: np.ndarray, hidden_dims):
+    """(name, view) pairs of a parameter-layout vector in init and naming
+    order: layer1.Wi layer1.Vi layer1.bi layer1.Wf ... layerN.bc, then Wr.
+    Each view is one gate's rows of W, V or b, C-contiguous; together the
+    views tile the vector."""
     layers, w_r = param_views(vec, hidden_dims)
-    for layer in layers:
-        yield from layer.blocks()
+    for li, layer in enumerate(layers, start=1):
+        d = layer.hidden_size
+        for n, gate in enumerate(GATES):
+            for kind, arr in zip("WVb", (layer.W, layer.V, layer.b)):
+                yield f"layer{li}.{kind}{gate}", arr[n * d : (n + 1) * d]
     yield "Wr", w_r
 
 
 def fill_param_vector(hidden_dims, fill) -> np.ndarray:
-    """Parameter vector whose blocks ``fill(label, shape)`` fills in init order."""
+    """New parameter vector, each block set to ``fill(label, shape)`` in the
+    order of param_blocks; ``label`` is the name without its layer, such as
+    ``Wi``, ``bf`` or ``Wr``."""
     theta = np.empty(param_count(hidden_dims))
-    for label, block in _file_blocks(theta, hidden_dims):
-        block[...] = fill(label, block.shape)
+    for name, block in param_blocks(theta, hidden_dims):
+        block[...] = fill(name.rpartition(".")[2], block.shape)
     return theta
 
 
@@ -197,20 +194,15 @@ class ModelParams:
             raise ValidationError(f"non-finite weights in block {block}")
 
     def blocks(self, vec: np.ndarray | None = None):
-        """(name, view) pairs in init and naming order, layer1.Wi ... layerN.bc
-        then Wr, over ``theta`` or over any vector of its layout (a gradient,
-        a moment)."""
-        layers, w_r = param_views(self.theta if vec is None else vec, self.hidden_dims)
-        for li, layer in enumerate(layers, start=1):
-            for label, block in layer.blocks():
-                yield f"layer{li}.{label}", block
-        yield "Wr", w_r
+        """param_blocks over ``theta``, or over any vector of its layout (a
+        gradient, a moment)."""
+        return param_blocks(self.theta if vec is None else vec, self.hidden_dims)
 
     def block_at(self, index: int) -> str:
-        """Name of the block that holds coordinate ``index`` of the vector."""
-        marker = np.zeros(self.theta.size, dtype=bool)
-        marker[index] = True
-        return next(name for name, block in self.blocks(marker) if block.any())
+        """Name of the block that holds coordinate ``index`` of the vector:
+        the one whose view of ``theta`` shares that coordinate's memory."""
+        coord = self.theta[index : index + 1]
+        return next(name for name, block in self.blocks() if np.shares_memory(block, coord))
 
     def with_theta(self, theta: np.ndarray) -> "ModelParams":
         return replace(self, theta=theta)
@@ -230,9 +222,6 @@ def init_params(config, seed: int | None = None) -> ModelParams:
     """
     if seed is None:
         seed = config.seed
-    hidden_dims = tuple(config.hidden_dims)
-    if not hidden_dims or any(d < 1 for d in hidden_dims):
-        raise ConfigError(f"hidden_dims must all be positive, got {hidden_dims}")
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def glorot(label, shape):
@@ -241,8 +230,8 @@ def init_params(config, seed: int | None = None) -> ModelParams:
         lim = np.sqrt(6.0 / sum(shape))
         return rng.uniform(-lim, lim, size=shape)
 
-    theta = fill_param_vector(hidden_dims, glorot)
-    return ModelParams(theta, hidden_dims, loss_mode=config.loss_mode, window=config.window)
+    theta = fill_param_vector(config.hidden_dims, glorot)
+    return ModelParams(theta, config.hidden_dims, loss_mode=config.loss_mode, window=config.window)
 
 
 @dataclass

@@ -245,14 +245,18 @@ def apply_scaler(
     """Map values into (forward) or out of (inverse) the unit interval.
 
     Inputs outside the fit range extrapolate linearly; the returned flag
-    reports whether any did.
+    reports whether any did. An inverse map that overflows raises.
     """
     values = np.asarray(values, dtype=np.float64)
     if direction == "forward":
         out = (values - scaler.min) / scaler.range
         out_of_range = bool(((values < scaler.min) | (values > scaler.max)).any())
     elif direction == "inverse":
-        out = values * scaler.range + scaler.min
+        with np.errstate(over="ignore"):
+            out = values * scaler.range + scaler.min
+        if not np.isfinite(out).all():
+            raise ValidationError(f"values overflow float64 once mapped back through the "
+                                  f"scaler [{scaler.min!r}, {scaler.max!r}]")
         out_of_range = bool(((values < 0.0) | (values > 1.0)).any())
     else:
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")

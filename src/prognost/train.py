@@ -22,6 +22,7 @@ from .errors import (
 )
 from .model import (
     BCE_CLIP,
+    LOSS_MODES,
     ForwardCache,
     ModelParams,
     _behind,
@@ -72,8 +73,9 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.window < 1:
             raise ConfigError("window must be >= 1")
-        if self.loss_mode not in ("mse", "bce"):
-            raise ConfigError(f"loss_mode must be 'mse' or 'bce', got {self.loss_mode!r}")
+        if self.loss_mode not in LOSS_MODES:
+            raise ConfigError(f"loss_mode must be {' or '.join(map(repr, LOSS_MODES))}, "
+                              f"got {self.loss_mode!r}")
         if self.max_grad_norm is not None and not self.max_grad_norm > 0:
             raise ConfigError("max_grad_norm must be > 0 when set")
         if self.seed < 0:

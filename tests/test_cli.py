@@ -16,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prognost.cli import build_parser, run
+from prognost.fixtures import make_fixture_series
 from prognost.ingest import IMS_EXPECTED_ROWS, read_series_csv
 from prognost.model import load_model, predict_windows
 from prognost.preprocess import apply_scaler
+from prognost.series import SnapshotSeries, write_series_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = ROOT / "tests" / "data" / "v4_stack_3_2.model"
@@ -320,6 +322,20 @@ def test_flag_misuse_is_usage_error(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+def huge_scale_model(tmp_path, w_r):
+    """A 2-unit model whose weights are 0.9 and head weights ``w_r``, saved
+    with the scaler (0, 1e308): its predictions near 1 map back to near
+    1.8e308, the edge of float64."""
+    from prognost import save_model
+    from prognost.model import ModelParams, fill_param_vector
+    from prognost.preprocess import MinMaxScaler
+
+    theta = fill_param_vector((2,), lambda label, shape: w_r if label == "Wr" else 0.9)
+    path = tmp_path / "huge.model"
+    save_model(ModelParams(theta, (2,), window=5, scaler=MinMaxScaler(0.0, 1e308)), path)
+    return path
+
+
 class TestEvaluateCommand:
     def test_writes_metrics_and_trace(self, tmp_path):
         clean, model, _ = train_small(tmp_path)
@@ -435,6 +451,27 @@ class TestEvaluateCommand:
         assert captured.err.count("data error: sum mismatch") == 2
 
 
+    @pytest.mark.parametrize("w_r, message", [
+        (0.9, "original-space metrics overflow float64"),
+        (4.0, "values overflow float64 once mapped back through the scaler"),
+    ], ids=["squared-error", "prediction"])
+    def test_original_space_overflow_is_data_error(self, tmp_path, capsys, w_r, message):
+        # with w_r 0.9 the predictions stay finite (about 1.66e308) and the
+        # squared errors overflow; with 4.0 the predictions themselves do
+        model = huge_scale_model(tmp_path, w_r)
+        clean = make_clean_series(tmp_path, n=60)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["evaluate", "--model", str(model), "--in", str(clean),
+                        "--space", "original", "--metrics-out", str(tmp_path / "m.csv"),
+                        "--trace-out", str(tmp_path / "t.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"data error: {message}")
+        assert not (tmp_path / "m.csv").exists() and not (tmp_path / "t.csv").exists()
+
+
 class TestPredictCommand:
     def test_zero_model_prints_zero(self, tmp_path, capsys):
         from prognost import save_model
@@ -527,6 +564,18 @@ class TestPredictCommand:
         assert captured.out == ""
         assert captured.err.startswith("data error: --window holds a value that is non-finite "
                                        "once scaled")
+
+    def test_prediction_that_overflows_once_mapped_back_is_data_error(self, tmp_path, capsys):
+        # the head gives about 7.8, which the scaler (0, 1e308) maps to inf
+        model = huge_scale_model(tmp_path, 4.0)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["predict", "--model", str(model), "--window", "1,1,1,1,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: values overflow float64 once mapped back "
+                                       "through the scaler [0.0, 1e+308]")
 
     def test_negative_first_window_value(self, capsys):
         glued = run(["predict", "--model", str(PINNED), "--window=-0.5,1,1,1,1"])
@@ -633,6 +682,60 @@ class TestCrossStageContracts:
         test_row = (tmp / "metrics.csv").read_text().splitlines()[-1].split(",")
         assert test_row[:2] == ["clean/test", "scaled"]
         assert test_row[3] == last_epoch[2]
+
+
+    @staticmethod
+    def shifted_pipeline_outputs(tmp, series, shift, dims, window, loss_mode, epochs):
+        """Model, report and metrics bytes and stdout of preprocess, train and
+        evaluate on ``series`` with every timestamp moved by ``shift``."""
+        raw, clean, cfg = tmp / "raw.csv", tmp / "clean.csv", tmp / "cfg"
+        write_series_csv(SnapshotSeries(series.timestamps + shift, series.values), raw)
+        cfg.write_text(f"hidden_dims = {','.join(map(str, dims))}\nwindow = {window}\n"
+                       f"loss_mode = {loss_mode}\nepochs = {epochs}\n")
+        printed = []
+        for argv in (
+            ["preprocess", "--in", str(raw), "--out", str(clean)],
+            ["train", "--in", str(clean), "--config", str(cfg), "--model-out",
+             str(tmp / "m.model"), "--report-out", str(tmp / "report.csv")],
+            ["evaluate", "--model", str(tmp / "m.model"), "--in", str(clean),
+             "--metrics-out", str(tmp / "metrics.csv"), "--trace-out", str(tmp / "trace.csv")],
+        ):
+            code, out = quiet_run(argv)
+            assert code == 0
+            printed.append(out)
+        return [(tmp / name).read_bytes() for name in ("m.model", "report.csv", "metrics.csv")], printed
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        kind=st.sampled_from(("sine", "degradation")),
+        n=st.integers(40, 300),
+        gaps=st.lists(st.tuples(st.floats(0.05, 0.95), st.integers(1, 3)), max_size=3),
+        shift=st.one_of(st.integers(-2**40, 2**40), st.floats(-1e9, 1e9)),
+        dims=st.lists(st.integers(1, 8), min_size=1, max_size=2),
+        window=st.integers(1, 7),
+        loss_mode=st.sampled_from(("mse", "bce")),
+        epochs=st.integers(1, 2),
+    )
+    def test_shifted_timestamps_give_the_same_bytes(self, tmp_path_factory, kind, n, gaps,
+                                                     shift, **draw):
+        # timestamps steer only the interpolation of gaps, against differences
+        # of timestamps. An integer shift of integer timestamps keeps those
+        # differences exact; a fractional one may not, where t + shift rounds
+        # differently on either side of a power of two (sine n=127, shift
+        # 131008.8 and one gap moved a filled value by 1e-12, and the
+        # model with it), so a float shift is drawn only without gaps
+        series = make_fixture_series(kind, n)
+        if isinstance(shift, float):
+            gaps = []
+        values = series.values.copy()
+        for at, length in gaps:
+            # runs start 4 points apart at least, so two never join past max_gap
+            start = 4 * int(at * (n // 4 - 1))
+            values[start + 1 : start + 1 + length] = np.nan
+        series = series.with_values(values)
+        outputs = [self.shifted_pipeline_outputs(tmp_path_factory.mktemp("shift"), series,
+                                                 offset, **draw) for offset in (0, shift)]
+        assert outputs[0] == outputs[1]
 
 
 class TestBenchmarkTracerTargets:

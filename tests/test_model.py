@@ -32,8 +32,10 @@ from prognost.model import (
     PREDICT_ROWS,
     LayerParams,
     ModelParams,
+    fill_param_vector,
     forward_windows,
     layer_zeros,
+    param_blocks,
     param_count,
     param_views,
     predict_windows,
@@ -77,7 +79,7 @@ def predict_peak_growth(n0, calls=1):
 
 def scalar_cell_oracle(p, x, h_prev, c_prev):
     """Pure-python per-element recomputation of the gate equations."""
-    blocks = dict(p.blocks())
+    d = p.hidden_size
 
     def dot(mat, vec):
         return [math.fsum(mat[r][c] * vec[c] for c in range(len(vec))) for r in range(mat.shape[0])]
@@ -85,11 +87,12 @@ def scalar_cell_oracle(p, x, h_prev, c_prev):
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
 
-    def pre(gate):
-        w, v, b = (blocks[f"{kind}{gate}"] for kind in "WVb")
+    def pre(n):
+        # gate n's rows of the stacked W, V and b
+        w, v, b = (arr[n * d : (n + 1) * d] for arr in (p.W, p.V, p.b))
         return [a + b_ + c for a, b_, c in zip(dot(w, x), dot(v, h_prev), b)]
 
-    zi, zf, zo, zg = (pre(gate) for gate in "ifoc")
+    zi, zf, zo, zg = (pre(n) for n in range(4))
     i = [sig(v) for v in zi]
     f = [sig(v) for v in zf]
     o = [sig(v) for v in zo]
@@ -151,6 +154,28 @@ class TestInitParams:
         lim_v = math.sqrt(6.0 / 32)
         assert np.all(np.abs(layer.W) <= lim_w)
         assert np.all(np.abs(layer.V) <= lim_v)
+
+
+class TestParamLayout:
+    @settings(max_examples=30, deadline=None)
+    @given(dims=st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    def test_naming_walk_tiles_the_vector(self, dims):
+        names = [f"layer{li}.{kind}{gate}" for li in range(1, len(dims) + 1)
+                 for gate in "ifoc" for kind in "WVb"] + ["Wr"]
+        n = param_count(dims)
+        coords = np.arange(n, dtype=np.float64)
+        blocks = list(param_blocks(coords, dims))
+        assert [name for name, _ in blocks] == names
+        # every coordinate in exactly one block
+        assert np.array_equal(np.sort(np.concatenate([b.ravel() for _, b in blocks])), coords)
+        model = ModelParams(np.zeros(n), dims)
+        for name, block in blocks:
+            assert block.flags.c_contiguous and np.shares_memory(block, coords)
+            assert {model.block_at(int(i)) for i in block.ravel()} == {name}
+
+        seen = []
+        fill_param_vector(dims, lambda label, shape: seen.append((label, shape)) or 0.0)
+        assert seen == [(name.rpartition(".")[2], b.shape) for name, b in blocks]
 
 
 class TestCellForward:
