@@ -59,11 +59,14 @@ BCE_CLIP = 1e-7
 # parts take about 430 ms.
 PREDICT_ROWS = 256
 
-# Ufunc buffer size, in values, of predict_windows' steps. numpy 2 copies a
-# strided operand (a gate slice, the broadcast bias) through a buffer of
-# np.getbufsize() = 8,192 values, 64 KiB per operand and call. With 64-value
-# buffers a pass allocates 1-1.6 KB, and the 10,000-window call above took
-# 400 ms instead of 450 ms (median of 15, two workers).
+# Ufunc buffer size, in values, of the steps of predict_windows and of
+# training's forward_windows. numpy 2 copies a strided operand (a gate
+# slice, the broadcast bias) through a buffer of np.getbufsize() = 8,192
+# values, 64 KiB per operand and call. With 64-value buffers a pass
+# allocates 1-1.6 KB, and the 10,000-window call above took 400 ms instead
+# of 450 ms (median of 15, two workers). A 50-window training forward of
+# the 128/64 stack took 2.39-2.52 ms instead of 2.71-2.89 ms (one worker,
+# medians of 400 calls).
 PREDICT_BUFSIZE = 64
 
 
@@ -363,7 +366,8 @@ def forward_windows(m: ModelParams, windows: np.ndarray) -> tuple[np.ndarray, Fo
     Rows are independent samples. State starts at zero for every window,
     so a window's prediction depends only on its own W values. With several
     workers (_workers) the layers run as a wavefront (arXiv:1604.01946,
-    _forward_groups); every cell rounds as on one thread.
+    _forward_groups); every cell rounds as on one thread. Every step runs
+    with PREDICT_BUFSIZE ufunc buffers.
     """
     windows = _as_windows(windows)
     w = windows.shape[1]
@@ -372,8 +376,13 @@ def forward_windows(m: ModelParams, windows: np.ndarray) -> tuple[np.ndarray, Fo
     bounds = [n_layers * j // groups for j in range(groups + 1)]
     steps: list[list[CellCache]] = [[None] * n_layers for _ in range(w)]
     tops: list[np.ndarray] = []
-    _forward_groups(m, bounds, (windows[:, t : t + 1] for t in range(w)), steps, tops)
-    y, interior = _head(m, tops[-1])
+    # the wavefront's helper threads copy the caller's context, buffer size too
+    bufsize = np.setbufsize(PREDICT_BUFSIZE)
+    try:
+        _forward_groups(m, bounds, (windows[:, t : t + 1] for t in range(w)), steps, tops)
+        y, interior = _head(m, tops[-1])
+    finally:
+        np.setbufsize(bufsize)
     return y, ForwardCache(m, steps, tops[-1], y, interior)
 
 

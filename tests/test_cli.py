@@ -4,6 +4,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -15,12 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prognost import ingest
 from prognost.cli import build_parser, run
 from prognost.fixtures import make_fixture_series
 from prognost.ingest import IMS_EXPECTED_ROWS, read_series_csv
 from prognost.model import load_model, predict_windows
 from prognost.preprocess import apply_scaler
 from prognost.series import SnapshotSeries, write_series_csv
+from test_ingest import die, ims_workers
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = ROOT / "tests" / "data" / "v4_stack_3_2.model"
@@ -131,6 +134,37 @@ class TestIngest:
         warned = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
         assert len(warned) == 1
         assert "2004.02.12.10.42.39" in warned[0] and "got " in warned[0]
+
+    def test_ims_outputs_do_not_depend_on_workers(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "ims"
+        data.mkdir()
+        rng = np.random.Generator(np.random.PCG64(3))
+        for i in range(5):
+            rows = 16 if i != 2 else 9
+            body = "".join(f"{rng.normal():.3f}\t{rng.normal():.3f}\n" for _ in range(rows))
+            (data / f"2004.02.12.1{i}.32.39").write_text(body)
+        (data / "notes.txt").write_text("docs\n")
+        outputs = []
+        for cores in (1, 2):
+            ims_workers(monkeypatch, cores)
+            out = tmp_path / f"series{cores}.csv"
+            code = run(["ingest", "--ims-dir", str(data), "--channels", "2", "--out", str(out)])
+            outputs.append((code, capsys.readouterr(), out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and "notes.txt" in outputs[0][1].err
+
+    def test_dead_worker_is_one_line_data_error(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "ims"
+        data.mkdir()
+        for i in range(4):
+            (data / f"2004.02.12.1{i}.32.39").write_text("0.1\t0.2\n0.3\t0.4\n")
+        ims_workers(monkeypatch, 2)
+        monkeypatch.setattr(ingest, "_load_snapshot", die)
+        assert run(["ingest", "--ims-dir", str(data), "--channels", "2",
+                    "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {data}: a snapshot parser process ended abruptly\n"
+        assert multiprocessing.active_children() == []
 
     def test_bad_snapshot_error_names_file_and_line(self, tmp_path, capsys):
         data = tmp_path / "ims"

@@ -1,6 +1,7 @@
 """IMS directory scanning, snapshot parsing, aggregation, CSV import."""
 
 import math
+import multiprocessing
 import os
 import warnings
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prognost import (
+    DataError,
     EmptyDatasetError,
     ParseError,
     SnapshotSeries,
@@ -24,6 +26,7 @@ from prognost import (
 from prognost import ingest
 from prognost.ingest import IMS_EXPECTED_ROWS, SnapshotMatrix, load_ims_series
 from prognost.series import fmt_float
+from test_model import use_cores
 
 
 def serialize_snapshot_matrix(matrix):
@@ -406,7 +409,26 @@ class TestLoadCsvSeries:
         assert values.min() < values.max()
 
 
+def die(*args, **kwargs):
+    os._exit(3)
+
+
+def ims_workers(mp, cores):
+    """Run load_ims_series on ``cores`` workers, pooled from 2 files on."""
+    use_cores(mp, cores)
+    mp.setattr(ingest, "PARALLEL_MIN_FILES", 2)
+
+
 class TestLoadImsSeries:
+    cores = 1
+
+    @pytest.fixture(autouse=True)
+    def _on_cores(self, monkeypatch):
+        ims_workers(monkeypatch, self.cores)
+        yield
+        # no worker outlives the call, whether it returned or raised
+        assert multiprocessing.active_children() == []
+
     def _make_dir(self, tmp_path, n_files=4, rows=32, channels=2, seed=7):
         rng = np.random.Generator(np.random.PCG64(seed))
         data = {}
@@ -451,3 +473,27 @@ class TestLoadImsSeries:
         (tmp_path / "2004.02.12.11.32.39").write_bytes(b"0.1\t0.2\n0.3\t\xe90.4\n")
         with pytest.raises(ParseError, match=r"^2004\.02\.12\.11\.32\.39: 'ascii' codec"):
             load_ims_series(tmp_path, expected_channels=2, channel=0)
+
+    def test_first_bad_file_by_timestamp_is_named(self, tmp_path):
+        # on 2 workers the shares are files 0-1 and 2-3; the second share
+        # fails on its first file, before the first share reaches its second
+        self._make_dir(tmp_path, n_files=4)
+        (tmp_path / "2004.02.12.11.32.39").write_text("0.1\t0.2\n0.3\n")
+        (tmp_path / "2004.02.12.12.32.39").write_text("\n")
+        with pytest.raises(ParseError) as info:
+            load_ims_series(tmp_path, expected_channels=2, channel=0)
+        assert str(info.value) == "2004.02.12.11.32.39: line 2: expected 2 columns, got 1"
+
+
+class TestLoadImsSeriesOnTwoWorkers(TestLoadImsSeries):
+    """Every case above, parsed in two forked worker processes."""
+
+    cores = 2
+
+    def test_dead_worker_is_a_data_error_naming_the_directory(self, tmp_path, monkeypatch):
+        self._make_dir(tmp_path, n_files=4)
+        # fork carries the patch into the workers
+        monkeypatch.setattr(ingest, "_load_snapshot", die)
+        with pytest.raises(DataError) as info:
+            load_ims_series(tmp_path, expected_channels=2, channel=0)
+        assert str(info.value) == f"{tmp_path}: a snapshot parser process ended abruptly"
