@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -29,9 +30,12 @@ AGGREGATION_METHODS = ("rms", "mean_abs", "peak")
 
 # Fewest snapshot files that load_ims_series parses in worker processes. A
 # pool costs about 23 ms (12 ms of imports, 11 ms to start and stop two
-# workers) against about 7 ms per 20480x4 file. On two cores (2-core Xeon
-# VM) the pool lost 3-16 ms at 8 files and won 9-27 ms at 12 files.
-PARALLEL_MIN_FILES = 12
+# workers) against about 7 ms per 20480x4 file. With two workers (2-core
+# Xeon VM, fresh processes, 16-20 alternating rounds) the pool tied the
+# serial loop at 8 and 12 files (8/16 and 10/20 rounds won) and won 15-18 ms
+# at 16 files (14/20) and 43 ms at 30 (17/20); no other worker count was
+# measured.
+PARALLEL_MIN_FILES = 16
 
 
 @dataclass(frozen=True)
@@ -309,8 +313,10 @@ def _load_snapshot(
 
 def _load_share(load, refs, share: int) -> list:
     """``load`` over ``refs`` in a worker process held to the ``share``-th
-    usable core. Left to itself, the kernel was seen to run both workers
-    on one core of two while the other stood idle."""
+    usable core. Left to itself, the kernel of a 2-core VM ran both workers
+    on one core while the other stood idle: on 30 files, in 16 alternating
+    rounds, the unpinned pool lost to the serial loop in 14 (median 419
+    against 390 ms) and the pinned one won 14 (336 ms)."""
     with contextlib.suppress(AttributeError, OSError):
         cores = sorted(os.sched_getaffinity(0))
         os.sched_setaffinity(0, {cores[share % len(cores)]})
@@ -329,11 +335,13 @@ def load_ims_series(
     truncated snapshot), keyed by file name, in timestamp order. A file
     that cannot be read or parsed raises with its name before the message.
 
-    With several workers (model._workers) and at least PARALLEL_MIN_FILES
-    files, forked worker processes parse one contiguous share of the files
-    each. Results are taken in timestamp order, so the values, warnings and
-    first error are those of the serial loop. A worker that dies raises a
-    DataError naming the directory.
+    With several workers (model._workers), at least PARALLEL_MIN_FILES
+    files and no thread alive but the calling one (a forked child holds
+    only the thread that forked it, so a lock another thread held would
+    stay held there), forked worker processes parse one contiguous share
+    of the files each. Results are taken in timestamp order, so the values,
+    warnings and first error are those of the serial loop. A worker that
+    dies raises a DataError naming the directory.
     """
     if channel < 0:
         raise ConfigError(f"channel must be >= 0, got {channel}")
@@ -342,7 +350,7 @@ def load_ims_series(
         _load_snapshot, expected_channels=expected_channels, channel=channel, method=method
     )
     workers = min(_workers(), len(scan))
-    if workers == 1 or len(scan) < PARALLEL_MIN_FILES:
+    if workers == 1 or len(scan) < PARALLEL_MIN_FILES or threading.active_count() > 1:
         results = list(map(load, scan.refs))
     else:
         # imported here, since they cost every CLI start about 12 ms
@@ -351,7 +359,7 @@ def load_ims_series(
 
         size = -(-len(scan) // workers)
         shares = [scan.refs[lo : lo + size] for lo in range(0, len(scan), size)]
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        pool = ProcessPoolExecutor(len(shares), mp_context=multiprocessing.get_context("fork"))
         try:
             done = pool.map(functools.partial(_load_share, load), shares, range(len(shares)))
             results = [result for share in done for result in share]

@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import threading
 import warnings
 
 import numpy as np
@@ -413,6 +414,17 @@ def die(*args, **kwargs):
     os._exit(3)
 
 
+_load_snapshot = ingest._load_snapshot
+PARSED_HERE = []
+
+
+def load_here(ref, *args, **kwargs):
+    """``_load_snapshot``, noting the file in PARSED_HERE; a forked worker
+    notes it in its own copy, which this process never sees."""
+    PARSED_HERE.append(ref.path.name)
+    return _load_snapshot(ref, *args, **kwargs)
+
+
 def ims_workers(mp, cores):
     """Run load_ims_series on ``cores`` workers, pooled from 2 files on."""
     use_cores(mp, cores)
@@ -497,3 +509,21 @@ class TestLoadImsSeriesOnTwoWorkers(TestLoadImsSeries):
         with pytest.raises(DataError) as info:
             load_ims_series(tmp_path, expected_channels=2, channel=0)
         assert str(info.value) == f"{tmp_path}: a snapshot parser process ended abruptly"
+
+    def test_a_live_helper_thread_keeps_the_parse_in_this_process(self, tmp_path, monkeypatch):
+        self._make_dir(tmp_path, n_files=4)
+        monkeypatch.setattr(ingest, "_load_snapshot", load_here)
+        PARSED_HERE.clear()
+        pooled, _, _ = load_ims_series(tmp_path, expected_channels=2, channel=0)
+        assert PARSED_HERE == []
+        stop = threading.Event()
+        helper = threading.Thread(target=stop.wait)
+        helper.start()
+        try:
+            series, scan, _ = load_ims_series(tmp_path, expected_channels=2, channel=0)
+            assert multiprocessing.active_children() == []
+        finally:
+            stop.set()
+            helper.join()
+        assert PARSED_HERE == [ref.path.name for ref in scan.refs]
+        np.testing.assert_array_equal(series.values, pooled.values)
