@@ -24,14 +24,16 @@ np.set_printoptions(precision=4, suppress=True)
 
 # ---- a zero-weight cell shows the pure gate arithmetic ----------------------
 p = layer_zeros(input_size=1, hidden_size=3)
-h, c, cache = lstm_cell_forward(p, np.array([0.7]), np.zeros(3), np.zeros(3))
-i, f, o, g = np.split(cache.gates, 4)
+# out: arrays the step writes into, gates and recurrent product (4d), h, c, tanh(c) (d)
+out = tuple(np.empty(n) for n in (12, 12, 3, 3, 3))
+h, c = lstm_cell_forward(p, np.array([0.7]), np.zeros(3), np.zeros(3), out)
+i, f, o, g = np.split(out[0], 4)
 print("zero weights: gates are all sigma(0) = 0.5, candidate tanh(0) = 0,")
 print(f"  i={i}  f={f}  o={o}  g={g}  ->  c={c}  h={h}")
 
 # with a nonzero starting cell state, the forget gate halves it
 c0 = np.array([0.8, -0.4, 0.0])
-h, c, _ = lstm_cell_forward(p, np.array([0.7]), np.zeros(3), c0)
+h, c = lstm_cell_forward(p, np.array([0.7]), np.zeros(3), c0)
 print(f"carried state: c = 0.5*c0 = {c},  h = 0.5*tanh(c) = {h}")
 
 # ---- the zero state: every window starts at h = c = 0 -----------------------
@@ -39,8 +41,8 @@ print(f"carried state: c = 0.5*c0 = {c},  h = 0.5*tanh(c) = {h}")
 # exact zeros, and gives the values of the step on explicit zero arrays.
 p8 = init_params(TrainConfig(hidden_dims=(8,)), seed=3).layers[0]
 x0 = np.array([[0.2], [-0.6]])
-h_none, c_none, _ = lstm_cell_forward(p8, x0, None, None)
-h_zero, c_zero, _ = lstm_cell_forward(p8, x0, np.zeros((2, 8)), np.zeros((2, 8)))
+h_none, c_none = lstm_cell_forward(p8, x0, None, None)
+h_zero, c_zero = lstm_cell_forward(p8, x0, np.zeros((2, 8)), np.zeros((2, 8)))
 same = np.array_equal(h_none, h_zero) and np.array_equal(c_none, c_zero)
 print(f"\nfirst step from None equals the step from explicit zeros: {same}")
 assert same
@@ -51,15 +53,17 @@ window = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
 ys, cache = forward_windows(params, window[None, :])
 print(f"\nstacked 8/4 model on window {window}: prediction {ys[0]:.5f}")
 
-# the cache keeps every step's fused gate array for backpropagation through time
+# for backpropagation through time the cache keeps each layer's step arrays:
+# gates (W, batch, 4d), the recurrent product (batch, 4d), h, c and tanh(c)
+# (W, batch, d); step t is slot t, and step 0's zero state is in no slot
 step, layer = 4, 1
-cc = cache.steps[step][layer]
+gates, _, h_steps, c_steps, _ = cache.layers[layer]
 d = params.hidden_dims[layer]
-print(f"step {step + 1}, layer {layer + 1}: gate array {cc.gates.shape}, "
-      f"forget gate {cc.gates[0, d : 2 * d]}")
-print(f"step 1 caches no zero state: h_prev {cache.steps[0][layer].h_prev}, "
-      f"c_prev {cache.steps[0][layer].c_prev}")
+print(f"layer {layer + 1} gate array {gates.shape}; step {step + 1} "
+      f"forget gate {gates[step, 0, d : 2 * d]}")
+print(f"layer {layer + 1} cell state over the steps:\n{c_steps[:, 0]}")
 print(f"hidden state feeding the regression head: {cache.head_input[0]}")
+assert np.array_equal(cache.head_input, h_steps[-1])
 
 # gates live strictly inside (0,1), so |h| < 1 no matter the input
 extreme = forward_window(params, np.array([1e6, -1e6, 1e6, -1e6, 1e6]))

@@ -346,6 +346,11 @@ def load_ims_series(
     if channel < 0:
         raise ConfigError(f"channel must be >= 0, got {channel}")
     scan = scan_ims_directory(directory)
+    # parse_ims_file's and aggregate_snapshot's errors, raised before any file is read
+    if expected_channels < 1:
+        raise ConfigError("expected_channels must be >= 1")
+    if channel >= expected_channels:
+        raise IndexError(f"channel {channel} out of range for {expected_channels}-channel snapshot")
     load = functools.partial(
         _load_snapshot, expected_channels=expected_channels, channel=channel, method=method
     )

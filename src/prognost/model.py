@@ -237,19 +237,6 @@ def init_params(config, seed: int | None = None) -> ModelParams:
     return ModelParams(theta, config.hidden_dims, loss_mode=config.loss_mode, window=config.window)
 
 
-@dataclass
-class CellCache:
-    """Everything the backward pass needs from one cell step. ``gates``
-    holds sigma(i), sigma(f), sigma(o) and tanh(g) side by side, d columns
-    each, in GATES order."""
-
-    x: np.ndarray
-    h_prev: np.ndarray | None
-    c_prev: np.ndarray | None
-    gates: np.ndarray
-    tanh_c: np.ndarray
-
-
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function 1 / (1 + exp(-z)), elementwise; ``out`` may be ``z``.
 
@@ -268,16 +255,16 @@ def lstm_cell_forward(
     h_prev: np.ndarray | None,
     c_prev: np.ndarray | None,
     out: tuple[np.ndarray, ...] | None = None,
-) -> tuple[np.ndarray, np.ndarray, CellCache | None]:
-    """One cell step on plain vectors or on (batch, dim) matrices.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One cell step on plain vectors or on (batch, dim) matrices: (h, c).
 
     ``h_prev`` or ``c_prev`` None is a window's zero state: the step skips
     ``h_prev V^T`` or ``f * c_prev``, exact zeros, for the same values.
 
     ``out`` is (gates, rec, h, c, tanh_c): two (..., 4d) and three (..., d)
-    arrays the step writes into instead of allocating. ``h`` and ``c`` may
-    be ``h_prev`` and ``c_prev``, to advance the state in place; the step
-    then returns no cache, since the next step overwrites what it holds.
+    arrays the step writes into instead of allocating; ``gates`` gets
+    sigma(i), sigma(f), sigma(o) and tanh(g) in GATES order. ``h`` and
+    ``c`` may be ``h_prev`` and ``c_prev``, to advance the state in place.
     """
     x = np.asarray(x, dtype=np.float64)
     h_prev, c_prev = (a if a is None else np.asarray(a, dtype=np.float64) for a in (h_prev, c_prev))
@@ -290,8 +277,7 @@ def lstm_cell_forward(
             f"shape mismatch: x {x.shape}, h_prev {shapes[0]}, c_prev {shapes[1]} "
             f"for a {d}x{k} layer"
         )
-    fresh = out is None
-    gates, rec, h, c, tanh_c = (None,) * 5 if fresh else out
+    gates, rec, h, c, tanh_c = (None,) * 5 if out is None else out
     # One pre-activation array, turned into the gate activations in place.
     # A None ``out`` makes numpy allocate the result; either way every value
     # is rounded in the same order, so both uses agree bit for bit. With one
@@ -313,19 +299,39 @@ def lstm_cell_forward(
         c = np.multiply(f, c_prev, out=c)
         c += np.multiply(i, g, out=tanh_c)
     tanh_c = np.tanh(c, out=tanh_c)
-    h = np.multiply(o, tanh_c, out=h)
-    return h, c, CellCache(x, h_prev, c_prev, gates, tanh_c) if fresh else None
+    return np.multiply(o, tanh_c, out=h), c
+
+
+def _step_arrays(dims, slots: int, rows: int) -> list[tuple[np.ndarray, ...]]:
+    """Per layer of hidden size d, the arrays its steps write into
+    (lstm_cell_forward's ``out``): gates (slots, rows, 4d), the recurrent
+    product (rows, 4d), and h, c and tanh(c), (slots, rows, d) each. Step t
+    uses slot t % slots; one slot, overwritten by every step, fits only a lone
+    layer group, no wavefront. A layer's arrays are views of one block, like
+    cuDNN's reserve array (arXiv:1604.01946): glibc handed separate arrays back
+    to the system and faulted them in again every batch, 67,669 minor faults
+    in 20 epochs of the 128/64 stack against 5,850."""
+    arrays = []
+    for d in dims:
+        n = slots * rows * d
+        block = np.empty(7 * n + 4 * rows * d)
+        arrays.append((block[: 4 * n].reshape(slots, rows, 4 * d),
+                       block[7 * n :].reshape(rows, 4 * d),
+                       *block[4 * n : 7 * n].reshape(3, slots, rows, d)))
+    return arrays
 
 
 @dataclass
 class ForwardCache:
-    """Per-step, per-layer intermediates of a batch of windows."""
+    """A batch's windows and each layer's _step_arrays, slot t for step t."""
 
     params: ModelParams
-    steps: list[list[CellCache]]
-    head_input: np.ndarray
-    y: np.ndarray
-    head_interior: np.ndarray | None
+    windows: np.ndarray
+    layers: list[tuple[np.ndarray, ...]]
+
+    @property
+    def head_input(self) -> np.ndarray:  # the top layer's h at the last step
+        return self.layers[-1][2][-1]
 
 
 def _head(m: ModelParams, head_input: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -345,45 +351,43 @@ def _as_windows(windows) -> np.ndarray:
     return windows
 
 
-def _forward_groups(m: ModelParams, bounds: list, xs, steps: list, tops: list):
+def _forward_groups(m: ModelParams, bounds: list, xs, arrays: list):
     """Forward the layer groups between ``bounds``, one per worker, each a step
-    _behind the one before (the first runs here) from the zero state, None;
-    ``tops`` gets the last h."""
+    _behind the one before (the first runs here), into their _step_arrays with
+    PREDICT_BUFSIZE ufunc buffers; step 0 starts from the zero state, None."""
     layers = range(bounds[0], bounds[1])
-    h, c = [None] * len(layers), [None] * len(layers)
-    with (_behind(lambda ys: _forward_groups(m, bounds[1:], ys, steps, tops))
-          if len(bounds) > 2 else contextlib.nullcontext(tops.append)) as hand_on:
-        for t, x in enumerate(xs):
-            for j, li in enumerate(layers):
-                h[j], c[j], steps[t][li] = lstm_cell_forward(m.layers[li], x, h[j], c[j])
-                x = h[j]
-            hand_on(x)
+    outs = [[(g[s], rec, h[s], c[s], tanh_c[s]) for s in range(len(h))]
+            for g, rec, h, c, tanh_c in arrays[bounds[0] : bounds[1]]]
+    bufsize = np.setbufsize(PREDICT_BUFSIZE)
+    try:
+        with (_behind(lambda ys: _forward_groups(m, bounds[1:], ys, arrays))
+              if len(bounds) > 2 else contextlib.nullcontext(lambda x: None)) as hand_on:
+            for t, x in enumerate(xs):
+                for li, out in zip(layers, outs):
+                    state = out[(t - 1) % len(out)][2:4] if t else (None, None)
+                    x, _ = lstm_cell_forward(m.layers[li], x, *state, out[t % len(out)])
+                hand_on(x)
+    finally:
+        np.setbufsize(bufsize)
 
 
 def forward_windows(m: ModelParams, windows: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Predict a batch of windows at once, keeping every step for BPTT.
 
     Rows are independent samples. State starts at zero for every window,
-    so a window's prediction depends only on its own W values. With several
-    workers (_workers) the layers run as a wavefront (arXiv:1604.01946,
-    _forward_groups); every cell rounds as on one thread. Every step runs
-    with PREDICT_BUFSIZE ufunc buffers.
+    so a window's prediction depends only on its own W values. Each layer
+    writes its steps into _step_arrays of W slots over the whole batch. With
+    several workers (_workers) the layers run as a wavefront (arXiv:1604.01946,
+    _forward_groups); every cell rounds as on one thread.
     """
     windows = _as_windows(windows)
     w = windows.shape[1]
     n_layers = len(m.layers)
     groups = min(_workers(), n_layers)
     bounds = [n_layers * j // groups for j in range(groups + 1)]
-    steps: list[list[CellCache]] = [[None] * n_layers for _ in range(w)]
-    tops: list[np.ndarray] = []
-    # the wavefront's helper threads copy the caller's context, buffer size too
-    bufsize = np.setbufsize(PREDICT_BUFSIZE)
-    try:
-        _forward_groups(m, bounds, (windows[:, t : t + 1] for t in range(w)), steps, tops)
-        y, interior = _head(m, tops[-1])
-    finally:
-        np.setbufsize(bufsize)
-    return y, ForwardCache(m, steps, tops[-1], y, interior)
+    cache = ForwardCache(m, windows, _step_arrays(m.hidden_dims, w, len(windows)))
+    _forward_groups(m, bounds, (windows[:, t : t + 1] for t in range(w)), cache.layers)
+    return _head(m, cache.head_input)[0], cache
 
 
 def forward_window(m: ModelParams, window) -> float:
@@ -450,27 +454,16 @@ def _cuts(n: int, parts: int) -> list[int]:
 
 
 def _predict_share(m: ModelParams, windows: np.ndarray, y: np.ndarray, rows: int) -> None:
-    """Forward ``windows`` into ``y`` in parts of at most ``rows`` rows.
-
-    Each layer's (gates, rec, h, c, tanh_c) arrays are allocated once, sized
-    for the largest part, and every step writes into them with
-    PREDICT_BUFSIZE ufunc buffers; step 0 starts from the zero state, None.
-    """
+    """Forward ``windows`` into ``y`` in parts of at most ``rows`` rows, each
+    through _forward_groups as one group, on _step_arrays of one slot sized
+    for the largest part."""
     cuts = _cuts(len(windows), max(1, math.ceil(len(windows) / rows)))
-    size = max(hi - lo for lo, hi in zip(cuts, cuts[1:]))
-    bufsize = np.setbufsize(PREDICT_BUFSIZE)
-    try:
-        buffers = [[np.empty((size, k)) for k in (4 * d, 4 * d, d, d, d)] for d in m.hidden_dims]
-        for lo, hi in zip(cuts, cuts[1:]):
-            outs = [[a[: hi - lo] for a in layer_buffers] for layer_buffers in buffers]
-            for t in range(windows.shape[1]):
-                x = windows[lo:hi, t : t + 1]
-                for layer, out in zip(m.layers, outs):
-                    state = (out[2], out[3]) if t else (None, None)
-                    x, _, _ = lstm_cell_forward(layer, x, *state, out)
-            y[lo:hi] = _head(m, x)[0]
-    finally:
-        np.setbufsize(bufsize)
+    arrays = _step_arrays(m.hidden_dims, 1, max(hi - lo for lo, hi in zip(cuts, cuts[1:])))
+    for lo, hi in zip(cuts, cuts[1:]):
+        xs = (windows[lo:hi, t : t + 1] for t in range(windows.shape[1]))
+        part = [[a[..., : hi - lo, :] for a in layer] for layer in arrays]
+        _forward_groups(m, [0, len(m.layers)], xs, part)
+        y[lo:hi] = _head(m, part[-1][2][-1])[0]
 
 
 def predict_windows(m: ModelParams, windows: np.ndarray) -> np.ndarray:
@@ -591,7 +584,7 @@ def _read_model(f, text: bytes) -> ModelParams:
             f"found {line[:60]!r}"
         ) from None
     head, line = _read_line(f, text, "the data line")
-    if len(tokens := line.split()) != 3 or tokens[:2] != ["data", str(nbytes)]:
+    if len(tokens := line.split(" ")) != 3 or tokens[:2] != ["data", str(nbytes)]:
         raise ModelCorruptionError(f"expected the data line 'data {nbytes} <sum>', 8 bytes per "
                                    f"parameter, found {line[:60]!r}")
     theta = np.empty(param_count(dims), dtype="<f8")

@@ -27,6 +27,7 @@ from .model import (
     ModelParams,
     _behind,
     _cuts,
+    _head,
     _threads,
     _workers,
     fill_param_vector,
@@ -188,10 +189,10 @@ def compute_loss(pred, target, mode: str = "mse") -> tuple[float, np.ndarray]:
 
 
 def _accumulate(cells) -> None:
-    for gl, dgates, cc in cells:
-        gl.W[...] += dgates.T @ cc.x
-        if cc.h_prev is not None:
-            gl.V[...] += dgates.T @ cc.h_prev
+    for gl, dgates, x, h_prev in cells:
+        gl.W[...] += dgates.T @ x
+        if h_prev is not None:
+            gl.V[...] += dgates.T @ h_prev
         gl.b[...] += dgates.sum(axis=0)
 
 
@@ -204,9 +205,9 @@ def bptt_backward(m: ModelParams, cache: ForwardCache, dloss_dy) -> np.ndarray:
 
     With several workers (_workers) a helper thread adds the weight
     products _behind the chain, in the same cell order, keeping the bits.
-    Terms that are exact zeros (from step 0's zero state, None in its
-    cache, or from no later step at the last) or that feed a step -1 are
-    skipped, keeping the bits.
+    Step t reads slot t of the step arrays and slot t - 1 for its state.
+    Terms that are exact zeros (from step 0's zero state, or from no later
+    step at the last) or that feed a step -1 are skipped, keeping the bits.
     """
     if cache is None or cache.params is not m:
         raise ContractError("backward pass needs the cache from a matching forward call")
@@ -216,8 +217,8 @@ def bptt_backward(m: ModelParams, cache: ForwardCache, dloss_dy) -> np.ndarray:
         raise ValueError(f"expected {batch} upstream gradients, got shape {dy.shape}")
 
     if m.loss_mode == "bce":
-        q = cache.y
-        dz = np.where(cache.head_interior, dy * q * (1.0 - q), 0.0)
+        q, interior = _head(m, cache.head_input)
+        dz = np.where(interior, dy * q * (1.0 - q), 0.0)
     else:
         dz = dy
 
@@ -232,28 +233,29 @@ def bptt_backward(m: ModelParams, cache: ForwardCache, dloss_dy) -> np.ndarray:
 
     inline = contextlib.nullcontext(lambda cell: _accumulate([cell]))
     with _behind(_accumulate) if _workers() > 1 else inline as hand_on:
-        for t in range(len(cache.steps) - 1, -1, -1):
+        for t in range(cache.windows.shape[1] - 1, -1, -1):
             for li in range(n_layers - 1, -1, -1):
-                cc = cache.steps[t][li]
+                gates, _, h, c, tanh_c = cache.layers[li]
+                x = cache.layers[li - 1][2][t] if li else cache.windows[:, t : t + 1]
                 p = m.layers[li]
                 d = p.hidden_size
-                i, f, o, g = (cc.gates[:, n * d : (n + 1) * d] for n in range(4))
+                i, f, o, g = (gates[t][:, n * d : (n + 1) * d] for n in range(4))
 
                 dh = dh_next[li]
-                dc = dh * o * (1.0 - cc.tanh_c * cc.tanh_c)
+                dc = dh * o * (1.0 - tanh_c[t] * tanh_c[t])
                 if dc_next[li] is not None:
                     dc += dc_next[li]
-                # Pre-activation gradients in the column order of cc.gates.
+                # Pre-activation gradients in the column order of the gates.
                 dgates = np.concatenate(
                     [
                         dc * g * i * (1.0 - i),
-                        np.zeros_like(dc) if cc.c_prev is None else dc * cc.c_prev * f * (1.0 - f),
-                        dh * cc.tanh_c * o * (1.0 - o),
+                        dc * c[t - 1] * f * (1.0 - f) if t else np.zeros_like(dc),
+                        dh * tanh_c[t] * o * (1.0 - o),
                         dc * i * (1.0 - g * g),
                     ],
                     axis=1,
                 )
-                hand_on((grad_layers[li], dgates, cc))
+                hand_on((grad_layers[li], dgates, x, h[t - 1] if t else None))
 
                 if t:  # step 0 feeds no step -1
                     dh_next[li] = dgates @ p.V

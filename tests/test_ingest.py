@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prognost import (
+    ConfigError,
     DataError,
     EmptyDatasetError,
     ParseError,
@@ -485,6 +486,32 @@ class TestLoadImsSeries:
         (tmp_path / "2004.02.12.11.32.39").write_bytes(b"0.1\t0.2\n0.3\t\xe90.4\n")
         with pytest.raises(ParseError, match=r"^2004\.02\.12\.11\.32\.39: 'ascii' codec"):
             load_ims_series(tmp_path, expected_channels=2, channel=0)
+
+    @pytest.mark.parametrize(
+        "channels, channel, error, message",
+        [
+            (4, 4, IndexError, "channel 4 out of range for 4-channel snapshot"),
+            (0, 0, ConfigError, "expected_channels must be >= 1"),
+        ],
+        ids=["channel-4-of-4", "no-channels"],
+    )
+    def test_a_bad_channel_fails_before_any_file_is_read(self, tmp_path, monkeypatch, channels,
+                                                         channel, error, message):
+        # no file parses, so a parse in a worker, which PARSED_HERE cannot
+        # see, would raise ParseError for the out-of-range channel instead
+        self._make_dir(tmp_path, n_files=4)
+        for name in os.listdir(tmp_path):
+            (tmp_path / name).write_text("x\n")
+        monkeypatch.setattr(ingest, "_load_snapshot", load_here)
+        PARSED_HERE.clear()
+        with pytest.raises(error) as info:
+            load_ims_series(tmp_path, expected_channels=channels, channel=channel)
+        assert str(info.value) == message
+        assert PARSED_HERE == [] and multiprocessing.active_children() == []
+
+    def test_an_empty_directory_reports_before_a_bad_channel(self, tmp_path):
+        with pytest.raises(EmptyDatasetError, match="no parseable snapshot filenames"):
+            load_ims_series(tmp_path, expected_channels=4, channel=4)
 
     def test_first_bad_file_by_timestamp_is_named(self, tmp_path):
         # on 2 workers the shares are files 0-1 and 2-3; the second share

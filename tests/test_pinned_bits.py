@@ -5,7 +5,8 @@ keep them.
 
 Floating-point bits depend on the BLAS kernels, so the digests hold only
 for the build they were recorded with: numpy 2.4.6 linked to OpenBLAS
-0.3.31 on x86-64. Elsewhere the test skips.
+0.3.31 on x86-64. Elsewhere the test skips. Each digest holds on one
+worker and on two, the serial and the threaded paths.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import pytest
 
 from prognost.cli import run
 from prognost.model import load_model
+from test_model import use_cores
 
 RECORDED_BUILD = ("2.4.6", "0.3.31")
 
@@ -97,12 +99,21 @@ def digests(tmp_path, clean, case) -> dict[str, str]:
             "report": sha(report.read_bytes()), "trace": sha(trace.read_bytes())}
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_train_and_evaluate_keep_the_pinned_bits(tmp_path, clean, case):
+def on_cores(cases):
+    """``(case, cores)`` parameters: each case on one worker, under its own
+    id, then on two workers (test_model.use_cores)."""
+    return ([pytest.param(case, 1, id=case) for case in cases]
+            + [pytest.param(case, 2, id=f"{case}-2-cores") for case in cases])
+
+
+@pytest.mark.parametrize("case, cores", on_cores(CASES))
+def test_train_and_evaluate_keep_the_pinned_bits(tmp_path, monkeypatch, clean, case, cores):
+    use_cores(monkeypatch, cores)
     assert digests(tmp_path, clean, case) == PINNED[case]
 
 
-@pytest.mark.parametrize("case", GRAD_CHECK_ARGS)
-def test_grad_check_keeps_the_pinned_text(capsys, case):
+@pytest.mark.parametrize("case, cores", on_cores(GRAD_CHECK_ARGS))
+def test_grad_check_keeps_the_pinned_text(capsys, monkeypatch, case, cores):
+    use_cores(monkeypatch, cores)
     assert run(["grad-check", *GRAD_CHECK_ARGS[case]]) == 0
     assert sha(capsys.readouterr().out.encode()) == PINNED_GRAD_CHECK[case]

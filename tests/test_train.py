@@ -225,7 +225,9 @@ class TestBpttBackward:
         params = init_params(TrainConfig(hidden_dims=(8, 4)), 3)
         _, cache = forward_windows(params, np.full((6, 5), 0.5))
         if where == "caller":
-            cache.steps[1][0].tanh_c = None  # the chain fails at its 8th cell
+            gates, rec, h, c, tanh_c = cache.layers[0]
+            tanh_c = [None if t == 1 else a for t, a in enumerate(tanh_c)]
+            cache.layers[0] = (gates, rec, h, c, tanh_c)  # the chain fails at its 8th cell
         else:
             def accumulate(cells):
                 next(iter(cells))
