@@ -30,12 +30,13 @@ AGGREGATION_METHODS = ("rms", "mean_abs", "peak")
 
 # Fewest snapshot files that load_ims_series parses in worker processes. A
 # pool costs about 23 ms (12 ms of imports, 11 ms to start and stop two
-# workers) against about 7 ms per 20480x4 file. With two workers (2-core
-# Xeon VM, fresh processes, 16-20 alternating rounds) the pool tied the
-# serial loop at 8 and 12 files (8/16 and 10/20 rounds won) and won 15-18 ms
-# at 16 files (14/20) and 43 ms at 30 (17/20); no other worker count was
-# measured.
-PARALLEL_MIN_FILES = 16
+# workers) against about 1.2 ms per 20480x4 file in the fixed decimal layout
+# (5 ms through loadtxt). With two workers (2-core Xeon VM, fresh processes,
+# 20-24 alternating rounds of fixed-layout files) the pool lost to the
+# serial loop at 12 to 24 files (0-7 of 20-24 rounds won), tied at 30 and
+# 32 (6-10 rounds won) and won 10 ms at 40 (13/20, 18/24) and 13-27 ms at 48
+# (15/20, 18/24); no other worker count was measured.
+PARALLEL_MIN_FILES = 40
 
 
 @dataclass(frozen=True)
@@ -149,12 +150,69 @@ def parse_ims_file(content: str, expected_channels: int) -> SnapshotMatrix:
         and np.isfinite(samples).all()
     ):
         samples = _scan_ims_lines(content, expected_channels)
+    return _snapshot_matrix(samples)
+
+
+def _snapshot_matrix(samples: np.ndarray) -> SnapshotMatrix:
+    """The parsed samples, with a warning when the row count is not 20480."""
     warnings = ()
     if samples.shape[0] != IMS_EXPECTED_ROWS:
         warnings = (
             f"expected {IMS_EXPECTED_ROWS} rows per snapshot, got {samples.shape[0]}",
         )
     return SnapshotMatrix(samples, warnings)
+
+
+def _parse_fixed_layout(raw: bytes, expected_channels: int) -> np.ndarray | None:
+    """Samples of a snapshot body in the fixed decimal layout, else None.
+
+    In that layout every row is ``expected_channels`` (>= 1) tokens
+    ``-?D.DDD`` (one digit, a dot, three digits) separated by single tabs,
+    and every row ends with ``\\n``, or every row with ``\\r\\n``. A token is
+    then an integer mantissa M < 10^4 over 1000, and M / 1000.0, correctly
+    rounded, is ``float(token)`` (Clinger 1990), so the samples are those
+    ``parse_ims_file`` gives for the same body. Any other body returns None.
+    """
+    a = np.frombuffer(raw, np.uint8)
+    dots = np.flatnonzero(a == ord("."))
+    k = dots.size
+    if expected_channels < 1 or k == 0 or k % expected_channels or dots[-1] + 5 > a.size:
+        return None
+    sep = a[4:][dots].reshape(-1, expected_channels)
+    crlf = sep[0, -1] == ord("\r")
+    if crlf:
+        row_ends = dots[expected_channels - 1 :: expected_channels]
+        if row_ends[-1] + 6 > a.size or not (a[5:][row_ends] == ord("\n")).all():
+            return None
+    if not (
+        (sep[:, :-1] == ord("\t")).all()
+        and (sep[:, -1] == (ord("\r") if crlf else ord("\n"))).all()
+    ):
+        return None
+    digits = [a[dots - 1], a[1:][dots], a[2:][dots], a[3:][dots]]
+    for d in digits:
+        d -= ord("0")
+    if max(d.max() for d in digits) > 9:
+        return None
+    # a[dots - 2] wraps round to the last byte when the body starts "D.",
+    # and a "-" there puts the first start below 0, as a dot at 0 does
+    neg = a[dots - 2] == ord("-")
+    # Token j spans dots[j] - 1 - neg[j] to its separator (and the "\n" of
+    # "\r\n"), and every byte of the span has been checked. Spans cannot
+    # overlap, since no checked byte can be two of a digit, a dot, a sign
+    # and a separator, and none ends past the body (checked above); so if
+    # the first starts at 0 and their lengths sum to the body's, they tile
+    # it with no byte left over.
+    if dots[0] - 1 - neg[0] != 0 or 6 * k + np.count_nonzero(neg) + crlf * sep.shape[0] != a.size:
+        return None
+    mantissa = digits[0].astype(np.int16) * 1000
+    mantissa += digits[1] * np.int16(100)
+    mantissa += digits[2] * np.int16(10)
+    mantissa += digits[3]
+    # M / -1000.0 is -(M / 1000.0), and 0 / -1000.0 is the -0.0 of "-0.000"
+    divisor = neg * np.int16(-2000)
+    divisor += 1000
+    return np.divide(mantissa, divisor, dtype=np.float64).reshape(-1, expected_channels)
 
 
 def _scan_ims_lines(content: str, expected_channels: int) -> np.ndarray:
@@ -299,11 +357,17 @@ def _load_snapshot(
 ) -> tuple[float, tuple[str, ...]]:
     """Read, parse and aggregate one snapshot file: (value, warnings).
 
-    An error that the file's bytes cause is raised with its name before
-    the message.
+    A body in the fixed decimal layout is parsed from its bytes; any other
+    is read again as text and parsed by ``parse_ims_file``, whose errors
+    and warnings it then has. An error that the file's bytes cause is
+    raised with its name before the message.
     """
     try:
-        matrix = parse_ims_file(ref.path.read_text(encoding="ascii"), expected_channels)
+        samples = _parse_fixed_layout(ref.path.read_bytes(), expected_channels)
+        if samples is None:
+            matrix = parse_ims_file(ref.path.read_text(encoding="ascii"), expected_channels)
+        else:
+            matrix = _snapshot_matrix(samples)
     except (ParseError, EmptyDatasetError) as exc:
         raise type(exc)(f"{ref.path.name}: {exc}") from None
     except UnicodeDecodeError as exc:

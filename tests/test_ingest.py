@@ -3,8 +3,11 @@
 import math
 import multiprocessing
 import os
+import re
+import tempfile
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from prognost import (
     write_series_csv,
 )
 from prognost import ingest
-from prognost.ingest import IMS_EXPECTED_ROWS, SnapshotMatrix, load_ims_series
+from prognost.ingest import IMS_EXPECTED_ROWS, SnapshotFileRef, SnapshotMatrix, load_ims_series
 from prognost.series import fmt_float
 from test_model import use_cores
 
@@ -91,7 +94,7 @@ def parse_matrix(content, expected_channels):
 
 
 FAULTS = ("nan", "inf", "1e400", "x", "1_0", "#1", "0x1p3")
-FORMATS = (repr, "{:.17g}".format, "{:g}".format, "{:.6e}".format)
+FORMATS = (repr, "{:.17g}".format, "{:g}".format, "{:.6e}".format, "{:.3f}".format)
 
 
 @st.composite
@@ -127,6 +130,70 @@ def snapshot_bodies(draw):
     if draw(st.booleans()):
         body = body.rstrip("\n\r\x0b\x0c")
     return body, channels * draw(st.sampled_from((1, 1, 2)))
+
+
+FIXED_TOKEN = rb"-?[0-9]\.[0-9]{3}"
+
+
+def in_fixed_layout(raw, channels):
+    """Whether ``raw`` is rows of ``channels`` ``-?D.DDD`` tokens joined by
+    single tabs, every row ended by LF or every row by CRLF."""
+    row = FIXED_TOKEN + rb"(?:\t%s){%d}" % (FIXED_TOKEN, channels - 1)
+    return re.fullmatch(rb"(?:%s\n)+|(?:%s\r\n)+" % (row, row), raw) is not None
+
+
+def load_samples(path, expected_channels):
+    """``_load_snapshot`` on the file, with the parsed samples in place of
+    the aggregate: (samples, warnings)."""
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mp.setattr(ingest, "aggregate_snapshot", lambda matrix, channel, method: matrix.samples)
+        result = ingest._load_snapshot(SnapshotFileRef(path, 0.0), expected_channels, 0, "rms")
+    assert caught == []
+    return result
+
+
+def file_oracle(path, expected_channels):
+    """parse_oracle on the file's ASCII text, its errors led by the file name."""
+    try:
+        return parse_oracle(path.read_bytes().decode("ascii"), expected_channels)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path.name}: {exc}") from None
+    except (ParseError, EmptyDatasetError) as exc:
+        raise type(exc)(f"{path.name}: {exc}") from None
+
+
+FIXED_TOKENS = st.just("-0.000") | st.floats(-10, 10, exclude_min=True, exclude_max=True).map(
+    "{:.3f}".format
+)
+# the bytes of the layout, the two either side of the digits, and any byte
+EDIT_BYTES = st.sampled_from(b"0123456789.-+\t\r\n eE_/:") | st.integers(0, 255)
+
+
+@st.composite
+def fixed_layout_files(draw):
+    """The bytes of a snapshot file in the fixed decimal layout, of up to 8
+    rows or (one time in eight) of 20480, the drawn rows over and over, maybe
+    without its last line end; the same bytes with one byte changed,
+    inserted or deleted; and the channel count to parse both with: their
+    own, or twice that."""
+    channels = draw(st.integers(1, 6))
+    row = st.lists(FIXED_TOKENS, min_size=channels, max_size=channels)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    if draw(st.integers(0, 7)) == 7:
+        rows = [rows[i % len(rows)] for i in range(IMS_EXPECTED_ROWS)]
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    body = "".join("\t".join(r) + end for r in rows).encode("ascii")
+    if draw(st.booleans()):
+        body = body[: -len(end)]
+    edit = draw(st.sampled_from(("change", "insert", "delete")))
+    last = len(body) - (edit != "insert")
+    # anywhere, or within a few bytes of either end
+    at = draw(st.integers(0, last) | st.integers(0, 8) | st.integers(last - 8, last))
+    at = min(max(at, 0), last)
+    new = b"" if edit == "delete" else bytes([draw(EDIT_BYTES)])
+    edited = body[:at] + new + body[at + (edit != "insert") :]
+    return (body, edited), channels * draw(st.sampled_from((1, 1, 2)))
 
 
 def _touch(directory, *names):
@@ -277,6 +344,97 @@ class TestFastPathGuard:
             parse_ims_file(body, expected_channels=2)
         assert str(info.value) == message
         assert calls == [body]
+
+
+class TestFixedLayout:
+    """Bodies in the fixed decimal layout are parsed from their bytes and
+    every other body by parse_ims_file; both give the oracle's bits,
+    warnings and errors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fixed_layout_files())
+    def test_load_matches_oracle_in_and_near_the_layout(self, case):
+        bodies, channels = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "2004.02.12.10.32.39"
+            for body in bodies:
+                path.write_bytes(body)
+                fast = ingest._parse_fixed_layout(body, channels)
+                assert (fast is not None) == in_fixed_layout(body, channels)
+                assert outcome(load_samples, path, channels) == outcome(
+                    file_oracle, path, channels
+                )
+
+    @pytest.mark.parametrize(
+        "body, channels",
+        [
+            (b"1.000\n-", 1),
+            (b"1.000\r52.000\r\n", 1),
+            (b"1.000\r\n2.000\r", 1),
+            (b"1.000\n2.000\r\n", 1),
+            (b"1.000\r\n2.000\n", 1),
+            (b":.000\n", 1),
+            (b"/.000\n", 1),
+            (b"1.000\n\n", 1),
+            (b"\n1.000\n", 1),
+            (b"--1.000\n", 1),
+            (b"1.000\t2.000\n", 1),
+            (b"1.000\n2.000\n", 2),
+            (b"1.000\t\t2.000\n", 2),
+        ],
+    )
+    def test_bodies_next_to_the_layout_take_the_general_parse(self, tmp_path, body, channels):
+        assert ingest._parse_fixed_layout(body, channels) is None
+        path = tmp_path / "2004.02.12.10.32.39"
+        path.write_bytes(body)
+        assert outcome(load_samples, path, channels) == outcome(file_oracle, path, channels)
+
+    @staticmethod
+    def _snapshot_lines():
+        rng = np.random.Generator(np.random.PCG64(6))
+        values = rng.uniform(-9.9994, 9.9994, size=(IMS_EXPECTED_ROWS, 4))
+        return ["\t".join(map("{:.3f}".format, row)) for row in values]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_snapshot_never_reaches_loadtxt_or_scan(self, tmp_path, monkeypatch, end):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fixed-layout snapshot reached the general parse")
+
+        path = tmp_path / "2004.02.12.10.32.39"
+        path.write_bytes("".join(line + end for line in self._snapshot_lines()).encode())
+        expected = outcome(file_oracle, path, 4)
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        monkeypatch.setattr(ingest, "_scan_ims_lines", refuse)
+        assert outcome(load_samples, path, 4) == expected
+        assert expected[0] == "ok" and expected[-1] == ()
+
+    @pytest.mark.parametrize(
+        "near_miss",
+        [
+            lambda line: line.replace("\t", "\t\t", 1),
+            lambda line: line + " ",
+            lambda line: "10.000" + line[line.index("\t") :],
+            lambda line: "1.2345" + line[line.index("\t") :],
+            lambda line: "+0.100" + line[line.index("\t") :],
+            lambda line: ".500" + line[line.index("\t") :],
+        ],
+        ids=["two-tabs", "trailing-space", "10.000", "1.2345", "+0.100", ".500"],
+    )
+    def test_near_misses_take_the_general_parse(self, tmp_path, monkeypatch, near_miss):
+        lines = self._snapshot_lines()
+        lines[7] = near_miss(lines[7])
+        path = tmp_path / "2004.02.12.10.32.39"
+        path.write_bytes("".join(line + "\n" for line in lines).encode())
+        calls = []
+        real_loadtxt = np.loadtxt
+
+        def loadtxt(*args, **kwargs):
+            calls.append(1)
+            return real_loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        assert outcome(load_samples, path, 4) == outcome(file_oracle, path, 4)
+        assert calls == [1]
 
 
 class TestAggregateSnapshot:
@@ -432,6 +590,12 @@ def ims_workers(mp, cores):
     mp.setattr(ingest, "PARALLEL_MIN_FILES", 2)
 
 
+def cut_line_3_to_its_first_token(body):
+    lines = body.split(b"\n")
+    lines[2] = lines[2].split(b"\t")[0]
+    return b"\n".join(lines)
+
+
 class TestLoadImsSeries:
     cores = 1
 
@@ -443,17 +607,16 @@ class TestLoadImsSeries:
         assert multiprocessing.active_children() == []
 
     def _make_dir(self, tmp_path, n_files=4, rows=32, channels=2, seed=7):
+        """Files of full-precision samples, every second one (from the
+        second) in the fixed decimal layout instead."""
         rng = np.random.Generator(np.random.PCG64(seed))
-        data = {}
         for i in range(n_files):
-            name = f"2004.02.12.{10 + i:02d}.32.39"
-            body = "\n".join(
-                "\t".join(repr(float(v)) for v in rng.normal(0, 0.2, channels))
+            fmt = "{:.3f}".format if i % 2 else repr
+            body = "".join(
+                "\t".join(fmt(float(v)) for v in rng.normal(0, 0.2, channels)) + "\n"
                 for _ in range(rows)
             )
-            (tmp_path / name).write_text(body + "\n")
-            data[name] = body
-        return data
+            (tmp_path / f"2004.02.12.{10 + i:02d}.32.39").write_text(body)
 
     def test_matches_sequential_oracle(self, tmp_path):
         self._make_dir(tmp_path)
@@ -461,6 +624,9 @@ class TestLoadImsSeries:
         assert len(series) == 4 and scan.skipped == ()
         # every 32-row file is short of 20480 rows
         assert list(warnings) == [ref.path.name for ref in scan.refs]
+        fixed = [ingest._parse_fixed_layout(ref.path.read_bytes(), 2) is not None
+                 for ref in scan.refs]
+        assert fixed == [False, True, False, True]
         expected = []
         for ref in scan.refs:
             samples, _ = parse_oracle(ref.path.read_text(), 2)
@@ -480,6 +646,26 @@ class TestLoadImsSeries:
         with pytest.raises(error) as info:
             load_ims_series(tmp_path, expected_channels=2, channel=0)
         assert str(info.value) == f"2004.02.12.11.32.39: {message}"
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (
+                lambda body: body[:40] + b"\xe9" + body[41:],
+                "'ascii' codec can't decode byte 0xe9 in position 40: ordinal not in range(128)",
+            ),
+            (cut_line_3_to_its_first_token, "line 3: expected 2 columns, got 1"),
+        ],
+        ids=["non-ascii-byte", "short-line"],
+    )
+    def test_a_fault_in_a_fixed_layout_file_names_the_file(self, tmp_path, fault, message):
+        self._make_dir(tmp_path)
+        path = tmp_path / "2004.02.12.11.32.39"
+        assert ingest._parse_fixed_layout(path.read_bytes(), 2) is not None
+        path.write_bytes(fault(path.read_bytes()))
+        with pytest.raises(ParseError) as info:
+            load_ims_series(tmp_path, expected_channels=2, channel=0)
+        assert str(info.value) == f"{path.name}: {message}"
 
     def test_non_ascii_byte_names_the_file(self, tmp_path):
         self._make_dir(tmp_path, n_files=2)
