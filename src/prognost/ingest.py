@@ -30,13 +30,14 @@ AGGREGATION_METHODS = ("rms", "mean_abs", "peak")
 
 # Fewest snapshot files that load_ims_series parses in worker processes. A
 # pool costs about 23 ms (12 ms of imports, 11 ms to start and stop two
-# workers) against about 1.2 ms per 20480x4 file in the fixed decimal layout
-# (5 ms through loadtxt). With two workers (2-core Xeon VM, fresh processes,
-# 20-24 alternating rounds of fixed-layout files) the pool lost to the
-# serial loop at 12 to 24 files (0-7 of 20-24 rounds won), tied at 30 and
-# 32 (6-10 rounds won) and won 10 ms at 40 (13/20, 18/24) and 13-27 ms at 48
-# (15/20, 18/24); no other worker count was measured.
-PARALLEL_MIN_FILES = 40
+# workers) against about 7 ms per 20480x4 file through loadtxt. With two
+# workers (2-core Xeon VM, fresh processes, 16-20 alternating rounds) the pool
+# tied the serial loop at 8 and 12 such files (8/16 and 10/20 rounds won) and
+# won 15-18 ms at 16 files (14/20) and 43 ms at 30 (17/20); no other worker
+# count was measured. Files in the fixed decimal layout (_parse_fixed_layout)
+# take about 1.2 ms each; on them the pool lost at 12-24 files (0-7 of 20-24
+# rounds won), tied at 30 and 32 and won from 40.
+PARALLEL_MIN_FILES = 16
 
 
 @dataclass(frozen=True)
@@ -173,6 +174,11 @@ def _parse_fixed_layout(raw: bytes, expected_channels: int) -> np.ndarray | None
     rounded, is ``float(token)`` (Clinger 1990), so the samples are those
     ``parse_ims_file`` gives for the same body. Any other body returns None.
     """
+    # Most other bodies leave the layout in their first rows, so these are
+    # checked alone first; a body in the layout has a row end at every "\n"
+    head = raw[: raw.find(b"\n", 1024) + 1]
+    if 0 < len(head) < len(raw) and _parse_fixed_layout(head, expected_channels) is None:
+        return None
     a = np.frombuffer(raw, np.uint8)
     dots = np.flatnonzero(a == ord("."))
     k = dots.size
