@@ -306,8 +306,8 @@ def _step_arrays(dims, slots: int, rows: int) -> list[tuple[np.ndarray, ...]]:
     """Per layer of hidden size d, the arrays its steps write into
     (lstm_cell_forward's ``out``): gates (slots, rows, 4d), the recurrent
     product (rows, 4d), and h, c and tanh(c), (slots, rows, d) each. Step t
-    uses slot t % slots; one slot, overwritten by every step, fits only a lone
-    layer group, no wavefront. A layer's arrays are views of one block, like
+    uses slot t % slots; one slot, overwritten by every step, serves predict,
+    which keeps no step for BPTT. A layer's arrays are views of one block, like
     cuDNN's reserve array (arXiv:1604.01946): glibc handed separate arrays back
     to the system and faulted them in again every batch, 67,669 minor faults
     in 20 epochs of the 128/64 stack against 5,850."""
@@ -351,22 +351,17 @@ def _as_windows(windows) -> np.ndarray:
     return windows
 
 
-def _forward_groups(m: ModelParams, bounds: list, xs, arrays: list):
-    """Forward the layer groups between ``bounds``, one per worker, each a step
-    _behind the one before (the first runs here), into their _step_arrays with
+def _forward_steps(m: ModelParams, xs, arrays: list) -> None:
+    """Forward every layer, step by step, into its _step_arrays with
     PREDICT_BUFSIZE ufunc buffers; step 0 starts from the zero state, None."""
-    layers = range(bounds[0], bounds[1])
     outs = [[(g[s], rec, h[s], c[s], tanh_c[s]) for s in range(len(h))]
-            for g, rec, h, c, tanh_c in arrays[bounds[0] : bounds[1]]]
+            for g, rec, h, c, tanh_c in arrays]
     bufsize = np.setbufsize(PREDICT_BUFSIZE)
     try:
-        with (_behind(lambda ys: _forward_groups(m, bounds[1:], ys, arrays))
-              if len(bounds) > 2 else contextlib.nullcontext(lambda x: None)) as hand_on:
-            for t, x in enumerate(xs):
-                for li, out in zip(layers, outs):
-                    state = out[(t - 1) % len(out)][2:4] if t else (None, None)
-                    x, _ = lstm_cell_forward(m.layers[li], x, *state, out[t % len(out)])
-                hand_on(x)
+        for t, x in enumerate(xs):
+            for layer, out in zip(m.layers, outs):
+                state = out[(t - 1) % len(out)][2:4] if t else (None, None)
+                x, _ = lstm_cell_forward(layer, x, *state, out[t % len(out)])
     finally:
         np.setbufsize(bufsize)
 
@@ -376,17 +371,14 @@ def forward_windows(m: ModelParams, windows: np.ndarray) -> tuple[np.ndarray, Fo
 
     Rows are independent samples. State starts at zero for every window,
     so a window's prediction depends only on its own W values. Each layer
-    writes its steps into _step_arrays of W slots over the whole batch. With
-    several workers (_workers) the layers run as a wavefront (arXiv:1604.01946,
-    _forward_groups); every cell rounds as on one thread.
+    writes its steps into _step_arrays of W slots over the whole batch, on
+    the calling thread: on two cores a layer wavefront (arXiv:1604.01946)
+    sped up training of the 128/64 stack by less than its runs' spread.
     """
     windows = _as_windows(windows)
     w = windows.shape[1]
-    n_layers = len(m.layers)
-    groups = min(_workers(), n_layers)
-    bounds = [n_layers * j // groups for j in range(groups + 1)]
     cache = ForwardCache(m, windows, _step_arrays(m.hidden_dims, w, len(windows)))
-    _forward_groups(m, bounds, (windows[:, t : t + 1] for t in range(w)), cache.layers)
+    _forward_steps(m, (windows[:, t : t + 1] for t in range(w)), cache.layers)
     return _head(m, cache.head_input)[0], cache
 
 
@@ -455,14 +447,14 @@ def _cuts(n: int, parts: int) -> list[int]:
 
 def _predict_share(m: ModelParams, windows: np.ndarray, y: np.ndarray, rows: int) -> None:
     """Forward ``windows`` into ``y`` in parts of at most ``rows`` rows, each
-    through _forward_groups as one group, on _step_arrays of one slot sized
-    for the largest part."""
+    through _forward_steps, on _step_arrays of one slot sized for the
+    largest part."""
     cuts = _cuts(len(windows), max(1, math.ceil(len(windows) / rows)))
     arrays = _step_arrays(m.hidden_dims, 1, max(hi - lo for lo, hi in zip(cuts, cuts[1:])))
     for lo, hi in zip(cuts, cuts[1:]):
         xs = (windows[lo:hi, t : t + 1] for t in range(windows.shape[1]))
         part = [[a[..., : hi - lo, :] for a in layer] for layer in arrays]
-        _forward_groups(m, [0, len(m.layers)], xs, part)
+        _forward_steps(m, xs, part)
         y[lo:hi] = _head(m, part[-1][2][-1])[0]
 
 

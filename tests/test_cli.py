@@ -868,8 +868,8 @@ class TestBlasThreads:
 
 
     def test_train_and_grad_check_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        # unset and "1" train on both cores (wavefront, BPTT hand-off, Adam
-        # shares) where there are two; "2" trains on one
+        # unset and "1" hand BPTT's weight products to a helper thread where
+        # there are two cores; "2" trains on the calling thread alone
         clean = make_clean_series(tmp_path, n=300)
         cfg = write_config(tmp_path, hidden_dims="8,6,4", epochs="3", batch_size="16")
         outputs = []

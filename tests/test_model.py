@@ -3,7 +3,6 @@
 import math
 import os
 import sys
-import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -37,7 +36,6 @@ from prognost.model import (
     layer_zeros,
     param_blocks,
     param_count,
-    param_views,
     predict_windows,
     sigmoid,
 )
@@ -52,8 +50,9 @@ def zero_model(dims=(3,), loss_mode="mse", window=5):
 
 
 def use_cores(mp, cores):
-    """Give every threaded phase ``cores`` workers: predict_windows' row
-    shares, and train's forward wavefront, BPTT hand-off and Adam shares."""
+    """Give every phase that reads model._workers ``cores`` workers:
+    predict_windows' row shares, BPTT's hand-off (one helper thread from two
+    workers on) and the IMS parser pool."""
     mp.setenv("OPENBLAS_NUM_THREADS", "1")
     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
 
@@ -519,18 +518,15 @@ class TestForwardWindow:
         loss_mode=st.sampled_from(LOSS_MODES),
         n=st.sampled_from([1, 7, 16, 17, 50]) | st.integers(1, 60),
         w=st.integers(1, 6),
-        cores=st.sampled_from([1, 2, 3]),
         seed=st.integers(0, 2**31 - 1),
     )
-    def test_wavefront_keeps_the_serial_caches(self, dims, loss_mode, n, w, cores, seed):
-        # every slot of every layer, at any number of workers, holds the bits
-        # of lstm_cell_forward run step by step on arrays of its own; n covers
-        # the short last batches of training
+    def test_forward_keeps_the_stepwise_caches(self, dims, loss_mode, n, w, seed):
+        # every slot of every layer holds the bits of lstm_cell_forward run
+        # step by step on arrays of its own; n covers the short last batches
+        # of training
         params = init_params(TrainConfig(hidden_dims=dims, loss_mode=loss_mode), seed % 1000)
         windows = np.random.Generator(np.random.PCG64(seed)).uniform(-1, 1, size=(n, w))
-        with pytest.MonkeyPatch.context() as mp:
-            use_cores(mp, cores)
-            y, cache = forward_windows(params, windows)
+        _, cache = forward_windows(params, windows)
         assert cache.windows is windows and len(cache.layers) == len(dims)
         xs = [windows[:, t : t + 1] for t in range(w)]
         for layer, (gates, _, h, c, tanh_c) in zip(params.layers, cache.layers):
@@ -545,27 +541,6 @@ class TestForwardWindow:
                     assert slot[t].tobytes() == want.tobytes()
                 xs[t] = state[0]
         assert cache.head_input.tobytes() == xs[-1].tobytes()
-        with pytest.MonkeyPatch.context() as mp:
-            use_cores(mp, 1)
-            assert y.tobytes() == forward_windows(params, windows)[0].tobytes()
-
-    def test_wavefront_raises_a_helpers_error_and_leaves_no_thread(self, monkeypatch):
-        # at 3 cores each of the 3 layers has its own thread; only layer 2's
-        # input product overflows, on a helper thread
-        use_cores(monkeypatch, 3)
-        dims = (3, 3, 3)
-        theta = np.zeros(param_count(dims))
-        layers, _ = param_views(theta, dims)
-        layers[0].W[...] = 1.0
-        layers[1].W[...] = 1.7e308
-        m = ModelParams(theta, dims)
-        before = threading.active_count()
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            forward_windows(m, np.ones((4, 5)))
-        assert threading.active_count() == before
-        with np.errstate(all="ignore"):
-            y, _ = forward_windows(m, np.ones((4, 5)))
-        assert y.shape == (4,) and threading.active_count() == before
 
     def test_bce_mode_head_is_sigmoid(self):
         params = init_params(TrainConfig(hidden_dims=(3,), loss_mode="bce"), 5)

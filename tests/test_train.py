@@ -285,15 +285,6 @@ def adam_oracle(theta, g, m, v, t, lr):
 
 class TestAdamStep:
     def test_in_place_step_keeps_the_oracle_bits(self):
-        self.check_oracle_bits()
-
-    @pytest.mark.parametrize("cores", [2, 3])
-    def test_parallel_step_keeps_the_oracle_bits(self, monkeypatch, cores):
-        use_cores(monkeypatch, cores)
-        self.check_oracle_bits()
-
-    @staticmethod
-    def check_oracle_bits():
         cfg = TrainConfig(hidden_dims=(6, 3), learning_rate=0.003)
         params = init_params(cfg, 4)
         state = AdamState.zeros(params)
@@ -308,14 +299,6 @@ class TestAdamStep:
             assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
     def test_non_finite_gradient_leaves_the_state_alone(self):
-        self.check_state_left_alone()
-
-    def test_non_finite_gradient_leaves_the_state_alone_on_two_cores(self, monkeypatch):
-        use_cores(monkeypatch, 2)
-        self.check_state_left_alone()
-
-    @staticmethod
-    def check_state_left_alone():
         cfg = TrainConfig(hidden_dims=(2,))
         params = init_params(cfg, 1)
         state = AdamState.zeros(params)
@@ -537,6 +520,37 @@ class TestTrainLoop:
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == before
+
+    def test_only_bptt_and_predict_start_threads(self, monkeypatch):
+        # on two workers of the 128/64 stack the forward pass and Adam run on
+        # the calling thread; BPTT hands its weight products to one helper,
+        # and predict forwards its second share of 1,000 windows on another
+        use_cores(monkeypatch, 2)
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        cfg = TrainConfig()
+        params = init_params(cfg, 5)
+        rng = np.random.Generator(np.random.PCG64(5))
+        counts = {}
+
+        def count(fn, *args):
+            before = len(started)
+            out = fn(*args)
+            counts[fn.__name__] = len(started) - before
+            return out
+
+        y, cache = count(forward_windows, params, rng.uniform(-1, 1, size=(50, 5)))
+        grads = count(bptt_backward, params, cache, y - 0.5)
+        count(adam_step, params, grads, AdamState.zeros(params), cfg)
+        count(predict_windows, params, rng.uniform(-1, 1, size=(1000, 5)))
+        assert counts == {"forward_windows": 0, "bptt_backward": 1,
+                          "adam_step": 0, "predict_windows": 1}
 
     def test_max_grad_norm_config_file_none(self, tmp_path):
         path = tmp_path / "cfg"
